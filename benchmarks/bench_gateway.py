@@ -1,26 +1,24 @@
-"""BENCH gateway — concurrent SSE fan-out on both HTTP front-ends.
+"""BENCH gateway — concurrent SSE fan-out on the HTTP gateway.
 
-The async gateway exists to hold thousands of idle-but-live event
-streams without a thread apiece.  Three sections:
+The gateway exists to hold thousands of idle-but-live event streams
+without a thread apiece.  Three sections:
 
 * **fanout** — N raw-socket SSE subscribers attach to one job, the job
   then emits timestamped events, and every subscriber's receipt latency
   is measured (emission ``perf_counter`` stamp rides in the event
-  payload; same process, same clock).  Configurations: the threaded
-  baseline at 100 clients, the async gateway at 100 clients, and the
-  async gateway at the C10k-direction scale point (1,000 clients).
+  payload; same process, same clock).  Configurations: 100 clients and
+  the C10k-direction scale point (1,000 clients).
 * **eviction** — one deliberately stalled subscriber (tiny SO_RCVBUF,
   never reads) among healthy ones; the stalled client must be evicted
   while every healthy client still receives the full stream.
-* **gates** — the async gateway must complete the scale run for every
-  subscriber, and its p99 latency at 100 clients must be no worse than
-  the threaded baseline at 100 clients (within ``--gate-factor``).
+* **gates** — the scale run must complete for every subscriber, and
+  eviction must isolate the stalled client.
 
 Writes ``BENCH_gateway.json`` and prints a short table.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_gateway.py [--smoke]
         [--out BENCH_gateway.json] [--clients N] [--scale-clients N]
-        [--events N] [--gate-factor F]
+        [--events N]
 
 Exit code 1 when a gate fails, so CI trips loudly.
 """
@@ -36,7 +34,7 @@ import threading
 import time
 
 from repro.data.boxoffice import make_boxoffice
-from repro.gateway import GatewayPolicy, make_frontend
+from repro.gateway import GatewayPolicy, make_async_server
 from repro.runtime import ZiggyRuntime
 from repro.service import ZiggyService
 from repro.service.protocol import job_event_from_stage
@@ -53,13 +51,12 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 class ServedGateway:
-    """A front-end served on a daemon thread; context-managed teardown."""
+    """The gateway served on a daemon thread; context-managed teardown."""
 
-    def __init__(self, frontend: str, policy: GatewayPolicy | None = None):
+    def __init__(self, policy: GatewayPolicy | None = None):
         self.service = ZiggyService(max_workers=2, runtime=ZiggyRuntime())
         self.service.register_table(make_boxoffice(n_rows=60, seed=3))
-        self.server = make_frontend(self.service, frontend=frontend,
-                                    port=0, policy=policy)
+        self.server = make_async_server(self.service, port=0, policy=policy)
         self.thread = threading.Thread(target=self.server.serve_forever,
                                        daemon=True)
         self.thread.start()
@@ -165,9 +162,9 @@ def pump(subscribers: list[Subscriber], deadline: float,
         sel.close()
 
 
-def bench_fanout(frontend: str, n_clients: int, n_events: int,
+def bench_fanout(n_clients: int, n_events: int,
                  timeout: float = 300.0) -> dict:
-    served = ServedGateway(frontend)
+    served = ServedGateway()
     try:
         gate = threading.Event()
         job_id = served.submit_emitter(n_events, gate=gate)
@@ -183,7 +180,6 @@ def bench_fanout(frontend: str, n_clients: int, n_events: int,
     completed = sum(1 for s in subscribers if s.done)
     latencies = sorted(lat for s in subscribers for lat in s.latencies_ms)
     return {
-        "frontend": frontend,
         "clients": n_clients,
         "events_per_client": n_events,
         "completed": completed,
@@ -195,10 +191,10 @@ def bench_fanout(frontend: str, n_clients: int, n_events: int,
     }
 
 
-def bench_eviction(frontend: str, n_healthy: int, n_events: int) -> dict:
+def bench_eviction(n_healthy: int, n_events: int) -> dict:
     policy = GatewayPolicy(sse_write_timeout=1.0, sse_buffer_bytes=8192,
                            keepalive_seconds=0.2)
-    served = ServedGateway(frontend, policy=policy)
+    served = ServedGateway(policy=policy)
     try:
         gate = threading.Event()
         job_id = served.submit_emitter(n_events, payload_pad="x" * 512,
@@ -252,7 +248,6 @@ def bench_eviction(frontend: str, n_healthy: int, n_events: int) -> dict:
         served.close()
 
     return {
-        "frontend": frontend,
         "healthy_clients": n_healthy,
         "healthy_completed": sum(1 for s in healthy if s.done),
         "events_per_client": n_events,
@@ -268,51 +263,38 @@ def main(argv=None) -> int:
                         help="CI-sized run: small client counts")
     parser.add_argument("--out", default="BENCH_gateway.json")
     parser.add_argument("--clients", type=int, default=None,
-                        help="baseline comparison client count (default 100)")
+                        help="fan-out client count (default 100)")
     parser.add_argument("--scale-clients", type=int, default=None,
-                        help="async scale point (default 1000)")
+                        help="scale point (default 1000)")
     parser.add_argument("--events", type=int, default=None,
                         help="events per job in the fanout runs")
-    parser.add_argument("--gate-factor", type=float, default=None,
-                        help="async p99 may be at most this multiple of "
-                             "the threaded baseline p99 (default 1.25; "
-                             "2.5 under --smoke, where tiny client counts "
-                             "measure constant overhead, not fan-out)")
     args = parser.parse_args(argv)
 
-    gate_factor = args.gate_factor or (2.5 if args.smoke else 1.25)
     clients = args.clients or (20 if args.smoke else 100)
     scale_clients = args.scale_clients or (100 if args.smoke else 1000)
     events = args.events or (10 if args.smoke else 20)
     scale_events = max(3, events // 4)
 
-    configs = [("threaded", clients, events),
-               ("async", clients, events),
-               ("async", scale_clients, scale_events)]
     fanout = {}
-    for frontend, n_clients, n_events in configs:
-        label = f"{frontend}@{n_clients}"
+    for n_clients, n_events in ((clients, events),
+                                (scale_clients, scale_events)):
+        label = f"async@{n_clients}"
         print(f"fanout {label}: {n_events} events/client ...",
               flush=True)
-        row = fanout[label] = bench_fanout(frontend, n_clients, n_events)
+        row = fanout[label] = bench_fanout(n_clients, n_events)
         print(f"  completed {row['completed']}/{n_clients}, "
               f"p50 {row['p50_ms']}ms, p99 {row['p99_ms']}ms, "
               f"wall {row['wall_seconds']}s", flush=True)
 
-    eviction = {}
-    for frontend in ("threaded", "async"):
-        print(f"eviction {frontend}: 1 stalled + healthy readers ...",
-              flush=True)
-        row = eviction[frontend] = bench_eviction(
-            frontend, n_healthy=5 if args.smoke else 20,
-            n_events=150 if args.smoke else 300)
-        print(f"  healthy {row['healthy_completed']}"
-              f"/{row['healthy_clients']}, evicted {row['evicted']}, "
-              f"stalled closed: {row['stalled_connection_closed']}",
-              flush=True)
+    print("eviction: 1 stalled + healthy readers ...", flush=True)
+    eviction = bench_eviction(n_healthy=5 if args.smoke else 20,
+                              n_events=150 if args.smoke else 300)
+    print(f"  healthy {eviction['healthy_completed']}"
+          f"/{eviction['healthy_clients']}, "
+          f"evicted {eviction['evicted']}, "
+          f"stalled closed: {eviction['stalled_connection_closed']}",
+          flush=True)
 
-    base = fanout[f"threaded@{clients}"]
-    async_base = fanout[f"async@{clients}"]
     scale = fanout[f"async@{scale_clients}"]
     gates = {
         "async_scale_completes": {
@@ -320,19 +302,11 @@ def main(argv=None) -> int:
             "completed": scale["completed"],
             "ok": scale["completed"] == scale_clients,
         },
-        "async_p99_vs_threaded": {
-            "threaded_p99_ms": base["p99_ms"],
-            "async_p99_ms": async_base["p99_ms"],
-            "factor": gate_factor,
-            "ok": async_base["p99_ms"]
-                <= base["p99_ms"] * gate_factor,
-        },
         "eviction_isolates_stall": {
-            "ok": all(row["evicted"] >= 1
-                      and row["stalled_connection_closed"]
-                      and row["healthy_completed"]
-                          == row["healthy_clients"]
-                      for row in eviction.values()),
+            "ok": (eviction["evicted"] >= 1
+                   and eviction["stalled_connection_closed"]
+                   and eviction["healthy_completed"]
+                       == eviction["healthy_clients"]),
         },
     }
 

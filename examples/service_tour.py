@@ -6,8 +6,8 @@ Run:  python examples/service_tour.py
 import threading
 
 from repro import BatchRequest, CharacterizeRequest, ZiggyService, load_dataset
+from repro.gateway import make_async_server
 from repro.service.client import ZiggyClient
-from repro.service.server import make_server
 
 # 1. A service owns the catalog, per-client sessions, and a job pool.
 service = ZiggyService(max_workers=2)
@@ -39,8 +39,8 @@ print(f"\njob {final.job_id}: {final.status}, "
       f"{len(final.partial_views)} views streamed, "
       f"{final.result.n_views} survived validation")
 
-# 5. The same service over HTTP (stdlib server + client).
-server = make_server(service, port=0)
+# 5. The same service over HTTP (stdlib asyncio server + client).
+server = make_async_server(service, port=0)
 threading.Thread(target=server.serve_forever, daemon=True).start()
 host, port = server.server_address[:2]
 client = ZiggyClient(f"http://{host}:{port}")
@@ -52,6 +52,4 @@ legacy = client.legacy({"action": "query", "where": "gross > 200000000"})
 print(f"legacy /v1 endpoint: ok={legacy['ok']}, "
       f"n_views={legacy['n_views']}")
 
-server.shutdown()
-server.server_close()
-service.shutdown()
+server.close()

@@ -170,13 +170,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "shared runtime; exceeding it LRU-evicts tables "
                              "and their statistics caches (default "
                              "1073741824 = 1 GiB; 0 = unbounded)")
-    parser.add_argument("--frontend", choices=("threaded", "async"),
-                        default="threaded",
-                        help="HTTP front-end: 'threaded' (one OS thread "
-                             "per connection, the compatibility default) "
-                             "or 'async' (one event loop multiplexing "
-                             "thousands of concurrent SSE subscribers; "
-                             "see docs/gateway.md)")
+    parser.add_argument("--frontend", choices=("async",), default="async",
+                        help="HTTP front-end: 'async', one event loop "
+                             "multiplexing every connection (the only "
+                             "choice; accepted so existing command lines "
+                             "keep working)")
     parser.add_argument("--max-pending-jobs", type=int, default=None,
                         metavar="N",
                         help="bound the job queue: submissions beyond N "
@@ -213,13 +211,42 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_to_one_thread() -> None:
+    """Hold numpy's OpenBLAS to one thread in this process.
+
+    With the thread or inline executor, concurrent requests compute in
+    this process at once, and an OpenBLAS call that wakes a helper
+    thread takes the core another request is running on.  Measured on a
+    2-core host with two closed-loop clients of 32,000-row sketch-tier
+    queries on the thread executor: p90 latency 480 ms without the pin,
+    421 ms with it.  Process shards are left unpinned: each runs one
+    characterization at a time, and there a 1,994-row exact-tier query
+    took 154 ms on one BLAS thread against 141 ms on two.
+    ``OPENBLAS_NUM_THREADS`` is read only when numpy loads, which
+    ``import repro`` has already done, so OpenBLAS's setter is called
+    directly.  Builds that do not export it are left alone.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
 def serve_main(argv: Sequence[str] | None = None, stream=None) -> int:
     """Entry point of ``repro serve``; blocks until interrupted."""
     out = stream if stream is not None else sys.stdout
     args = build_serve_parser().parse_args(argv)
 
     # Imported here so plain CLI runs never pay for the service stack.
-    from repro.gateway import GatewayPolicy, make_frontend
+    from repro.gateway import GatewayPolicy, make_async_server
     from repro.runtime import DEFAULT_MAX_BYTES, DEFAULT_MAX_TABLES, ZiggyRuntime
     from repro.service.service import ZiggyService
 
@@ -266,13 +293,14 @@ def serve_main(argv: Sequence[str] | None = None, stream=None) -> int:
         if args.sse_eviction_seconds is not None:
             policy_kwargs["sse_write_timeout"] = args.sse_eviction_seconds
         policy = GatewayPolicy(**policy_kwargs) if policy_kwargs else None
-        server = make_frontend(service, frontend=args.frontend,
-                               host=args.host, port=args.port,
-                               verbose=not args.quiet, policy=policy)
+        server = make_async_server(service, host=args.host, port=args.port,
+                                   verbose=not args.quiet, policy=policy)
     except (ReproError, OSError) as exc:  # bad data, port in use, ...
         service.shutdown(wait=False)
         print(f"error: {exc}", file=out)
         return 1
+    if args.executor != "process":
+        _pin_blas_to_one_thread()
     # `kill <pid>` (systemd stop, CI teardown) must be a *clean* stop —
     # drain handlers, snapshot warm caches, compact the journal — not a
     # silent process death that skips the finally below.  SIGKILL

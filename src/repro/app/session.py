@@ -32,6 +32,12 @@ from repro.runtime import ZiggyRuntime, get_runtime
 #: Distinguishes anonymous sessions in the registry's borrower ledger.
 _session_ids = itertools.count(1)
 
+#: Most entries a session's history keeps; older ones are dropped.  The
+#: service only reads the latest, and each entry pins a result and its
+#: selection (about 18 KiB per Box Office query), so an unbounded
+#: history grows a long-lived client's memory with every request.
+HISTORY_LIMIT = 64
+
 
 @dataclass
 class SessionEntry:
@@ -44,7 +50,8 @@ class SessionEntry:
 
 
 class ZiggySession:
-    """Query box -> ranked views -> detail panel, with history.
+    """Query box -> ranked views -> detail panel, with the last
+    :data:`HISTORY_LIMIT` queries as history.
 
     Example::
 
@@ -155,10 +162,16 @@ class ZiggySession:
                 engine.rebind_cache(cache)
             result = engine.characterize_selection(
                 selection, config=self.config, progress=progress, emit=emit)
-        self.history.append(SessionEntry(
+        self.record(SessionEntry(
             query_text=query_text, table_name=table_name, result=result,
             selection=selection))
         return result
+
+    def record(self, entry: SessionEntry) -> None:
+        """Append ``entry`` to the history, dropping the oldest entries
+        beyond :data:`HISTORY_LIMIT`."""
+        self.history.append(entry)
+        del self.history[:-HISTORY_LIMIT]
 
     # -- panels --------------------------------------------------------------------------
 

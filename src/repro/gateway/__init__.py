@@ -1,18 +1,15 @@
-"""The gateway subsystem: production-traffic front-ends over the service.
+"""The gateway subsystem: the HTTP front-end over the service.
 
-Two interchangeable HTTP front-ends share one transport-neutral route
-layer (:mod:`repro.gateway.routes`):
+* :mod:`repro.gateway.server` — :class:`AsyncGateway`, one event loop
+  multiplexing every connection, including thousands of concurrent SSE
+  subscribers, with compute bridged onto the executor backends;
+* :mod:`repro.gateway.routes` — what each route does, independent of
+  the transport;
+* :mod:`repro.gateway.admission` — the token buckets.
 
-* the **threaded** baseline (:mod:`repro.service.server`) — one OS
-  thread per connection, simple and debuggable;
-* the **async** gateway (:mod:`repro.gateway.server`) — one event loop
-  multiplexing thousands of concurrent SSE subscribers, with compute
-  bridged onto the existing executor backends.
-
-Both enforce the same :class:`GatewayPolicy`: per-client/per-table
-admission control (token buckets), a bounded job-submission queue
-answering ``429`` + ``Retry-After``, and slow-consumer eviction on the
-job event streams.
+:class:`GatewayPolicy` sets per-client/per-table admission control, a
+bounded job-submission queue answering ``429`` + ``Retry-After``, and
+slow-consumer eviction on the job event streams.
 """
 
 from repro.gateway.admission import (
@@ -30,29 +27,6 @@ from repro.gateway.routes import (
 )
 from repro.gateway.server import AsyncGateway, make_async_server
 
-
-def make_frontend(service, frontend: str = "threaded",
-                  host: str = "127.0.0.1", port: int = 0,
-                  verbose: bool = False,
-                  policy: "GatewayPolicy | None" = None):
-    """Build the requested front-end over ``service`` (not started).
-
-    Returns an object with the shared server surface —
-    ``serve_forever()`` / ``shutdown()`` / ``server_close()`` /
-    ``close()`` / ``server_address`` — so callers (CLI, tests, bench)
-    can treat the two interchangeably.
-    """
-    if frontend == "async":
-        return make_async_server(service, host=host, port=port,
-                                 verbose=verbose, policy=policy)
-    if frontend == "threaded":
-        from repro.service.server import make_server
-        return make_server(service, host=host, port=port,
-                           verbose=verbose, policy=policy)
-    raise ValueError(f"unknown frontend {frontend!r} "
-                     "(expected 'threaded' or 'async')")
-
-
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
@@ -64,6 +38,5 @@ __all__ = [
     "JsonReply",
     "TokenBucket",
     "make_async_server",
-    "make_frontend",
     "status_for",
 ]

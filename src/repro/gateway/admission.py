@@ -1,4 +1,4 @@
-"""Admission control for the service front-ends: token buckets.
+"""Admission control for the gateway: token buckets.
 
 Compute-heavy requests (characterize, batch, job submission) pass
 through an :class:`AdmissionController` before they reach the service.
@@ -18,9 +18,9 @@ then thinks).
 Buckets are created lazily and the key space is bounded: beyond
 ``max_keys`` distinct clients/tables, the least-recently-used bucket is
 dropped (a dropped bucket resurrects full, which only ever errs in the
-caller's favour).  Everything is thread-safe — the threaded front-end
-calls :meth:`AdmissionController.admit` from handler threads, the async
-front-end from its event loop.
+caller's favour).  Everything is thread-safe: the gateway calls
+:meth:`AdmissionController.admit` from its event loop, and in-process
+callers of :meth:`GatewayRoutes.handle_post` from their own threads.
 """
 
 from __future__ import annotations

@@ -1,17 +1,14 @@
-"""Transport-neutral HTTP route logic shared by both front-ends.
+"""Transport-neutral HTTP route logic for the gateway.
 
-The threaded server (:mod:`repro.service.server`) and the asyncio
-gateway (:mod:`repro.gateway.server`) speak the same protocol over the
-same paths; this module is the single definition of what each route
-*does* so the two cannot drift.  A front-end hands a parsed request
-(method, path, headers, decoded body) to :class:`GatewayRoutes` and
+This module is the single definition of what each route *does*; the
+transport (:mod:`repro.gateway.server`) hands a parsed request (method,
+path, lower-cased headers, decoded body) to :class:`GatewayRoutes` and
 gets back either a :class:`JsonReply` (payload dict + HTTP status +
-extra headers, ready to serialize) or an :class:`EventStreamReply`
-(the marker that this request becomes a Server-Sent-Events stream of
-the named job, starting after a resume cursor).
+extra headers, ready to serialize) or an :class:`EventStreamReply` (the
+marker that this request becomes a Server-Sent-Events stream of the
+named job, starting after a resume cursor).
 
-The production-traffic controls live here too, so both front-ends
-enforce them identically:
+The production-traffic controls live here too:
 
 * **admission control** — compute-bearing requests (characterize,
   batch, job submission) pass per-client and per-table token buckets
@@ -104,7 +101,7 @@ class EventStreamReply:
 
 @dataclass
 class GatewayPolicy:
-    """Tunable production-traffic limits, shared by both front-ends.
+    """Tunable production-traffic limits.
 
     The defaults admit everything and never reject a submission — a
     policy-free deployment behaves exactly like the pre-gateway server.
@@ -122,8 +119,8 @@ class GatewayPolicy:
     #: Seconds a blocked SSE write may stall before the subscriber is
     #: evicted (the bounded per-subscriber buffer, in time units).
     sse_write_timeout: float = 10.0
-    #: Async front-end: high-water mark (bytes) of one subscriber's
-    #: transport write buffer before writes start waiting on drain.
+    #: High-water mark (bytes) of one subscriber's transport write
+    #: buffer before writes start waiting on drain.
     sse_buffer_bytes: int = 64 * 1024
     #: Seconds of idle stream before a ``: keepalive`` comment.
     keepalive_seconds: float = 1.0
@@ -194,33 +191,18 @@ class GatewayMetrics:
             }
 
 
-def _header(headers: Mapping | None, name: str) -> str | None:
-    """Case-insensitive header lookup over dicts and HTTPMessages."""
-    if headers is None:
-        return None
-    value = headers.get(name)
-    if value is None and hasattr(headers, "keys"):
-        lowered = name.lower()
-        for key in headers.keys():
-            if str(key).lower() == lowered:
-                return headers.get(key)
-    return value
-
-
 class GatewayRoutes:
     """The shared route table bound to one :class:`ZiggyService`.
 
     Stateless per request; owns the policy, the metrics and the v1
-    compatibility adapter so every front-end shares one of each.
+    compatibility adapter.
     """
 
     def __init__(self, service, policy: GatewayPolicy | None = None,
-                 metrics: GatewayMetrics | None = None,
-                 frontend: str = "threaded"):
+                 metrics: GatewayMetrics | None = None):
         self.service = service
         self.policy = policy if policy is not None else GatewayPolicy()
         self.metrics = metrics if metrics is not None else GatewayMetrics()
-        self.frontend = frontend
         # Lazy import: app.api imports the service layer; importing it
         # at module top would be circular.
         from repro.app.api import ZiggyApi
@@ -296,7 +278,7 @@ class GatewayRoutes:
     def gateway_report(self) -> dict:
         """The gateway section of /healthz and /v2/state."""
         report = self.metrics.snapshot()
-        report["frontend"] = self.frontend
+        report["frontend"] = "async"
         report["admission"] = self.policy.admission.describe()
         report["max_pending_jobs"] = self.policy.max_pending_jobs
         return report
@@ -342,7 +324,10 @@ class GatewayRoutes:
 
     def handle_get(self, path: str, headers: Mapping | None = None
                    ) -> JsonReply | EventStreamReply:
-        """Route one GET; returns a reply object, never raises."""
+        """Route one GET; returns a reply object, never raises.
+
+        ``headers`` maps lower-cased header names to values.
+        """
         path = path.rstrip("/")
         if path in ("", "/healthz"):
             return self.healthz()
@@ -356,7 +341,7 @@ class GatewayRoutes:
         if path.startswith("/v2/jobs/") and path.endswith("/events"):
             job_id = path[len("/v2/jobs/"):-len("/events")]
             after = 0
-            raw = _header(headers, "Last-Event-ID")
+            raw = (headers or {}).get("last-event-id")
             if raw:
                 try:
                     after = max(0, int(str(raw).strip()))
@@ -371,7 +356,7 @@ class GatewayRoutes:
                            f"no route for GET {path or '/'}", status=404)
 
     def stream_precheck(self, job_id: str) -> JsonReply | None:
-        """404 (as a JSON reply) before a front-end commits to SSE."""
+        """404 (as a JSON reply) before the server commits to SSE."""
         try:
             self.service.job_status(job_id)
         except ReproError as exc:
@@ -411,7 +396,7 @@ class GatewayRoutes:
     def govern_post(self, path: str, body: Any) -> JsonReply | None:
         """Admission/backpressure verdict for a POST, without dispatch.
 
-        The async front-end calls this *on the event loop* before
+        The server calls this *on the event loop* before
         bridging to its dispatch pool, so 429s are served instantly even
         when every dispatch thread is busy; it then passes
         ``governed=True`` to :meth:`handle_post` so the request is not

@@ -1,10 +1,32 @@
-"""The asyncio front-end: C10k SSE multiplexing on one event loop.
+"""The HTTP front-end: one asyncio event loop over :class:`ZiggyService`.
 
-The threaded server (:mod:`repro.service.server`) pins one OS thread
-per connection, so a few hundred concurrent ``GET /v2/jobs/<id>/events``
-subscribers exhaust the process long before the executor backends are
-the bottleneck.  This front-end multiplexes *thousands* of those
-streams on a single event loop:
+The paper's demo architecture is "the query characterization engine and
+a Web server"; this is that web server, speaking protocol v2 as JSON
+over HTTP with no dependencies beyond the standard library:
+
+==========  =========================  =====================================
+method      path                       meaning
+==========  =========================  =====================================
+GET         /healthz                   liveness, uptime, shard restarts,
+                                       journal/snapshot stats, gateway load
+GET         /v2/state                  durable-state report (journal,
+                                       snapshots, recovery, runtime, gateway)
+GET         /v2/tables                 catalog
+POST        /v2                        any protocol request (tag-dispatched)
+POST        /v2/characterize           characterize (type implied)
+POST        /v2/batch                  batch characterize
+POST        /v2/views                  page through the current result
+POST        /v2/configure              weights / options
+POST        /v2/jobs                   submit a job
+GET         /v2/jobs/<id>              poll a job
+GET         /v2/jobs/<id>/events       stream the job's events (SSE)
+POST        /v2/jobs/<id>/cancel       cancel a job
+POST        /v1                        legacy v1 action dict (adapter)
+==========  =========================  =====================================
+
+Route logic, payload bytes, admission and metrics come from
+:class:`~repro.gateway.routes.GatewayRoutes`; this module owns the
+transport, which multiplexes *thousands* of connections on one loop:
 
 * **SSE fan-out is loop-native.**  Each subscriber is a coroutine that
   polls the job's event log non-blockingly (``timeout=0``) and parks on
@@ -12,6 +34,9 @@ streams on a single event loop:
   :meth:`JobManager.watch` registers a ``loop.call_soon_threadsafe``
   ping that fires whenever the job appends an event, finishes or is
   pruned — no thread per subscriber, no condition-variable polling.
+  Idle gaps are filled with ``: keepalive`` comments, the stream ends
+  with a ``done`` event carrying the final job status, and a
+  ``Last-Event-ID`` request header resumes after that sequence number.
 * **Compute never runs on the loop.**  JSON routes are bridged onto a
   small thread pool with ``loop.run_in_executor``; the work itself
   still runs wherever the service's executor backend puts it (thread
@@ -29,15 +54,16 @@ streams on a single event loop:
   ``(job, seq)`` and the bytes are reused across all subscribers of
   that job, so fanning one event out to a thousand streams costs a
   thousand socket writes, not a thousand ``json.dumps``.
+* **Each reply is one write.**  Status line, headers and body leave in
+  a single ``transport.write``, so Nagle's algorithm never holds a
+  body back waiting for the client's delayed ACK of the headers.
 
-Route logic, payload bytes, admission and metrics all come from
-:class:`~repro.gateway.routes.GatewayRoutes` — the same object the
-threaded server uses — so the two front-ends are byte-identical at the
-protocol level and differ only in their concurrency model.  The public
-surface mirrors :class:`~repro.service.server.ZiggyServer`
-(``serve_forever`` / ``shutdown`` / ``server_close`` / ``close`` /
-``server_address``), so servers are interchangeable in tests and the
-CLI.
+Error payloads are structured :class:`ApiError` dicts; the HTTP status
+mirrors the error code (400 family for caller mistakes, 404 for unknown
+jobs/routes, 429 + ``Retry-After`` for throttled work, 500 for internal
+faults).  A request whose ``Content-Length`` is not a non-negative
+integer cannot be framed, so it is answered 400 and the connection is
+closed.
 """
 
 from __future__ import annotations
@@ -45,9 +71,11 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ReproError
 from repro.gateway.routes import (
@@ -56,7 +84,7 @@ from repro.gateway.routes import (
     GatewayRoutes,
     JsonReply,
 )
-from repro.service.protocol import ApiError, ProtocolError, json_safe
+from repro.service.protocol import ApiError, ErrorCode, json_safe
 from repro.service.service import ZiggyService
 
 #: HTTP reason phrases for the statuses this server emits.
@@ -75,30 +103,50 @@ _READ_TIMEOUT = 10.0
 #: Most serialized SSE blocks cached per job (seq -> bytes).
 _SSE_CACHE_BLOCKS = 4096
 
+#: Threads bridging JSON routes off the event loop.
+_DISPATCH_THREADS = 16
+
 
 def _sse_block(seq: int, kind: str, data: str) -> bytes:
-    """One SSE frame, byte-identical to the threaded server's."""
+    """One SSE frame."""
     return f"id: {seq}\nevent: {kind}\ndata: {data}\n\n".encode("utf-8")
+
+
+def _bad_request(message: str, status: int = 400) -> JsonReply:
+    return JsonReply(payload=ApiError(code=ErrorCode.BAD_REQUEST,
+                                      message=message).to_dict(),
+                     status=status)
+
+
+class _Request(NamedTuple):
+    """One parsed request.  ``body`` is None when the ``Content-Length``
+    header is malformed: the body cannot be framed, so it is not read."""
+
+    line: str
+    method: str
+    path: str
+    headers: dict
+    body: bytes | None
+    keep_alive: bool
 
 
 class AsyncGateway:
     """The asyncio HTTP/SSE server bound to one :class:`ZiggyService`.
 
     Binds its listening socket synchronously in the constructor (so
-    ``server_address`` is valid immediately, like the stdlib server) and
-    runs the event loop inside :meth:`serve_forever` — typically on a
-    dedicated thread, with :meth:`shutdown` called from any other.
+    ``server_address`` is valid immediately) and runs the event loop
+    inside :meth:`serve_forever` — typically on a dedicated thread, with
+    :meth:`shutdown` called from any other.  With ``verbose`` every
+    request is logged to stderr as one access line.
     """
 
     def __init__(self, address: tuple[str, int], service: ZiggyService,
-                 verbose: bool = False, policy: GatewayPolicy | None = None,
-                 dispatch_threads: int = 16):
+                 verbose: bool = False, policy: GatewayPolicy | None = None):
         self.service = service
         self.verbose = verbose
-        self.routes = GatewayRoutes(service, policy=policy, frontend="async")
+        self.routes = GatewayRoutes(service, policy=policy)
         self._socket = socket.create_server(address, backlog=1024)
         self._socket.setblocking(False)
-        self._dispatch_threads = dispatch_threads
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._stopped = threading.Event()
@@ -108,15 +156,18 @@ class AsyncGateway:
         #: job_id -> {"refs": n, "blocks": {seq: bytes}} — shared SSE
         #: serialization, touched only from the event loop.
         self._sse_cache: dict[str, dict[str, Any]] = {}
+        #: Set by :meth:`close` when the service drain failed (e.g. an
+        #: executor backend wedged mid-respawn) — the close itself still
+        #: completes, sockets and threads released.
         self.shutdown_error: BaseException | None = None
 
-    # -- lifecycle (threaded-server-compatible surface) --------------------------
+    # -- lifecycle ---------------------------------------------------------------
 
     @property
     def server_address(self) -> tuple:
         return self._socket.getsockname()
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self) -> None:
         """Run the event loop until :meth:`shutdown` (blocking)."""
         loop = asyncio.new_event_loop()
         self._loop = loop
@@ -143,7 +194,7 @@ class AsyncGateway:
     async def _serve(self) -> None:
         self._stop_event = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self._dispatch_threads,
+            max_workers=_DISPATCH_THREADS,
             thread_name_prefix="ziggy-gateway")
         server = await asyncio.start_server(self._handle_connection,
                                             sock=self._socket)
@@ -179,7 +230,20 @@ class AsyncGateway:
 
     def close(self, shutdown_service: bool = True,
               wait: bool = True) -> None:
-        """Drain and stop everything, like :meth:`ZiggyServer.close`."""
+        """Drain and stop everything, in dependency order (idempotent).
+
+        1. stop the accept loop, ending in-flight SSE streams and
+           connections;
+        2. close the listening socket;
+        3. shut the service down — which closes the executor backend
+           (thread pool or worker processes).
+
+        The service drain is bounded even when the executor is mid
+        worker-respawn (the backend waits on its respawn thread with a
+        timeout and fails stranded work with a clean error); should the
+        drain itself raise, the error lands in :attr:`shutdown_error`
+        rather than aborting the close half-way.
+        """
         self.shutdown()
         self.server_close()
         if shutdown_service:
@@ -200,9 +264,9 @@ class AsyncGateway:
                 request = await self._read_request(reader)
                 if request is None:
                     return
-                method, path, headers, body = request
-                keep_alive = await self._dispatch(method, path, headers,
-                                                  body, writer)
+                status, keep_alive = await self._dispatch(request, writer)
+                if self.verbose:
+                    self._log_request(writer, request.line, status)
                 if not keep_alive:
                     return
         except (ConnectionError, asyncio.IncompleteReadError,
@@ -220,17 +284,27 @@ class AsyncGateway:
                     asyncio.CancelledError):
                 pass
 
+    @staticmethod
+    def _log_request(writer: asyncio.StreamWriter, line: str,
+                     status: int) -> None:
+        """One access line on stderr, in the stdlib ``http.server``
+        format: ``host - - [date] "request line" status -``."""
+        peer = writer.get_extra_info("peername") or ("-",)
+        stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+        sys.stderr.write(f'{peer[0]} - - [{stamp}] "{line}" {status} -\n')
+
     async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> tuple[str, str, dict, bytes] | None:
-        """Parse one HTTP/1.1 request; None on EOF/garbage/idle."""
-        line = await asyncio.wait_for(reader.readline(),
-                                      timeout=_IDLE_TIMEOUT)
-        if not line:
+                            ) -> _Request | None:
+        """Parse one HTTP/1.x request; None on EOF/garbage/idle."""
+        raw_line = await asyncio.wait_for(reader.readline(),
+                                          timeout=_IDLE_TIMEOUT)
+        if not raw_line:
             return None
-        parts = line.decode("latin-1").strip().split()
+        line = raw_line.decode("latin-1").strip()
+        parts = line.split()
         if len(parts) != 3:
             return None
-        method, target, _version = parts
+        method, target, version = parts
         headers: dict[str, str] = {}
         while True:
             raw = await asyncio.wait_for(reader.readline(),
@@ -239,54 +313,61 @@ class AsyncGateway:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = b""
-        if length:
-            body = await asyncio.wait_for(reader.readexactly(length),
-                                          timeout=_READ_TIMEOUT)
+        # HTTP/1.1 connections persist unless the client says "close";
+        # HTTP/1.0 ones close unless the client asks for keep-alive.
+        connection = headers.get("connection", "").lower()
+        keep_alive = (connection == "keep-alive" if version == "HTTP/1.0"
+                      else connection != "close")
         path = target.split("?", 1)[0]
-        return method, path, headers, body
+        length = headers.get("content-length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            return _Request(line, method, path, headers, None, False)
+        size = int(length)
+        body = b""
+        if size:
+            body = await asyncio.wait_for(reader.readexactly(size),
+                                          timeout=_READ_TIMEOUT)
+        return _Request(line, method, path, headers, body, keep_alive)
 
-    async def _dispatch(self, method: str, path: str, headers: dict,
-                        body: bytes, writer: asyncio.StreamWriter) -> bool:
-        """Route one request; returns whether to keep the connection."""
-        loop = asyncio.get_running_loop()
-        keep_alive = headers.get("connection", "").lower() != "close"
-        if method == "GET":
-            reply = await loop.run_in_executor(
-                self._executor, self.routes.handle_get, path, headers)
+    async def _dispatch(self, request: _Request,
+                        writer: asyncio.StreamWriter) -> tuple[int, bool]:
+        """Route one request; returns its status and whether to keep the
+        connection."""
+        method, path = request.method, request.path
+        keep_alive = request.keep_alive
+        if request.body is None:
+            reply = _bad_request("invalid Content-Length "
+                                 f"{request.headers['content-length']!r}")
+        elif method == "GET":
+            reply = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self.routes.handle_get, path,
+                request.headers)
             if isinstance(reply, EventStreamReply):
-                await self._stream_job_events(writer, reply)
-                return False  # SSE always ends the connection
-            await self._write_json(writer, reply, keep_alive)
-            return keep_alive
-        if method == "POST":
-            try:
-                decoded = json.loads(body.decode("utf-8")) if body else {}
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                await self._write_json(writer, JsonReply(
-                    payload=ApiError.from_exception(ProtocolError(
-                        f"request body is not valid JSON: {exc}")).to_dict(),
-                    status=400), keep_alive)
-                return keep_alive
-            # Admission control and the bounded submission queue are
-            # checked on the loop: a saturated dispatch pool (the very
-            # condition backpressure exists for) must not delay the 429.
-            rejected = self.routes.govern_post(path, decoded)
-            if rejected is not None:
-                await self._write_json(writer, rejected, keep_alive)
-                return keep_alive
-            reply = await loop.run_in_executor(
-                self._executor, lambda: self.routes.handle_post(
-                    path, decoded, governed=True))
-            await self._write_json(writer, reply, keep_alive)
-            return keep_alive
-        await self._write_json(writer, JsonReply(
-            payload=ApiError(code="bad_request",
-                             message=f"method {method} not supported"
-                             ).to_dict(),
-            status=405), keep_alive=False)
-        return False
+                # SSE always ends the connection.
+                return await self._stream_job_events(writer, reply), False
+        elif method == "POST":
+            reply = await self._post(path, request.body)
+        else:
+            reply = _bad_request(f"method {method} not supported",
+                                 status=405)
+            keep_alive = False
+        await self._write_json(writer, reply, keep_alive)
+        return reply.status, keep_alive
+
+    async def _post(self, path: str, body: bytes) -> JsonReply:
+        try:
+            decoded = json.loads(body.decode("utf-8")) if body else {}
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return _bad_request(f"request body is not valid JSON: {exc}")
+        # Admission control and the bounded submission queue are
+        # checked on the loop: a saturated dispatch pool (the very
+        # condition backpressure exists for) must not delay the 429.
+        rejected = self.routes.govern_post(path, decoded)
+        if rejected is not None:
+            return rejected
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, lambda: self.routes.handle_post(
+                path, decoded, governed=True))
 
     async def _write_json(self, writer: asyncio.StreamWriter,
                           reply: JsonReply, keep_alive: bool) -> None:
@@ -306,8 +387,9 @@ class AsyncGateway:
     # -- SSE streaming -----------------------------------------------------------
 
     async def _stream_job_events(self, writer: asyncio.StreamWriter,
-                                 request: EventStreamReply) -> None:
-        """Multiplex one job-event subscription on the loop.
+                                 request: EventStreamReply) -> int:
+        """Multiplex one job-event subscription on the loop; returns the
+        response status.
 
         The subscriber never blocks a thread: it polls the event log
         with ``timeout=0`` and parks on an :class:`asyncio.Event` that
@@ -324,7 +406,7 @@ class AsyncGateway:
             self._executor, routes.stream_precheck, job_id)
         if rejected is not None:
             await self._write_json(writer, rejected, keep_alive=False)
-            return
+            return rejected.status
         wake = asyncio.Event()
 
         def ping() -> None:
@@ -343,7 +425,7 @@ class AsyncGateway:
                     payload=ApiError.from_exception(exc).to_dict(),
                     status=404),
                 keep_alive=False)
-            return
+            return 404
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: text/event-stream\r\n"
                      b"Cache-Control: no-cache\r\n"
@@ -374,12 +456,12 @@ class AsyncGateway:
                     writer.write(_sse_block(after + 1, "done",
                                             '{"status": "unknown"}'))
                     await self._drain_or_evict(writer)
-                    return
+                    break
                 for event in events:
                     after = max(after, event.seq)
                     writer.write(self._sse_bytes(cache, event))
                 if events and not await self._drain_or_evict(writer):
-                    return
+                    break
                 if finished:
                     try:
                         status = service.job_status(job_id).status
@@ -388,10 +470,10 @@ class AsyncGateway:
                     writer.write(_sse_block(after + 1, "done",
                                             json.dumps({"status": status})))
                     await self._drain_or_evict(writer)
-                    return
+                    break
                 if self._stop_event is not None \
                         and self._stop_event.is_set():
-                    return  # server draining
+                    break  # server draining
                 if not events:
                     try:
                         await asyncio.wait_for(
@@ -399,13 +481,14 @@ class AsyncGateway:
                     except (asyncio.TimeoutError, TimeoutError):
                         writer.write(b": keepalive\n\n")
                         if not await self._drain_or_evict(writer):
-                            return
-        except (ConnectionError, ConnectionResetError):
-            return  # client went away; nothing to clean up
+                            break
+        except ConnectionError:
+            pass  # client went away; nothing to clean up
         finally:
             unwatch()
             routes.metrics.stream_closed()
             self._release_sse_cache(job_id)
+        return 200
 
     async def _drain_or_evict(self, writer: asyncio.StreamWriter) -> bool:
         """Wait for the subscriber's buffer to drain; evict laggards.
@@ -461,10 +544,8 @@ class AsyncGateway:
 
 def make_async_server(service: ZiggyService, host: str = "127.0.0.1",
                       port: int = 0, verbose: bool = False,
-                      policy: GatewayPolicy | None = None,
-                      dispatch_threads: int = 16) -> AsyncGateway:
-    """Build (but do not start) an async gateway; ``port=0`` picks a
-    free port.  The drop-in sibling of
-    :func:`repro.service.server.make_server`."""
+                      policy: GatewayPolicy | None = None) -> AsyncGateway:
+    """Build (but do not start) the gateway; ``port=0`` picks a free
+    port."""
     return AsyncGateway((host, port), service, verbose=verbose,
-                        policy=policy, dispatch_threads=dispatch_threads)
+                        policy=policy)

@@ -18,11 +18,16 @@ Sharding rule — the whole point of the layout:
 
 Event relay: workers execute through the same task path as the local
 backends, compact each stage event
-(:func:`~repro.core.events.compact_event`) and put it on a shared
-results queue; a pump thread in the coordinating process replays the
-events into the submission's ``progress`` callback — in order, with the
-legacy stage names — so the job event log, partial-view capture and SSE
-streaming are byte-identical to a thread-backend run.
+(:func:`~repro.core.events.compact_event`) and send it down the
+worker's **own** result pipe; a pump thread in the coordinating process
+waits on every pipe at once and replays the events into the
+submission's ``progress`` callback — in order, with the legacy stage
+names — so the job event log, partial-view capture and SSE streaming
+are byte-identical to a thread-backend run.  One pipe per worker (not
+one queue shared by all) is what makes a SIGKILL survivable: a worker
+killed mid-write takes only its own pipe down, where a shared queue's
+cross-process write lock would stay held by the dead writer and block
+every other shard, the replacement included.
 
 Cancellation crosses the boundary as a control message: when the
 coordinator's ``progress`` raises
@@ -63,6 +68,7 @@ import os
 import pickle
 import threading
 import time
+from multiprocessing.connection import wait as wait_for_ready
 from typing import Any, Callable
 
 from repro.core.events import StageEvent, compact_event, legacy_stage
@@ -108,16 +114,24 @@ def _wire_exception(exc: BaseException) -> BaseException:
         return WorkerError(f"{type(exc).__name__}: {exc}")
 
 
+#: Serializes pipe creation + fork + closing the coordinator's copy of
+#: the write end, so no other shard forked meanwhile inherits that write
+#: end (an inherited copy would keep a dead worker's pipe from reading
+#: end-of-file).
+_SPAWN_LOCK = threading.Lock()
+
+
 def _worker_main(worker_id: int, tasks, control, results,
                  limits: "tuple | None" = None) -> None:
     """Entry point of one shard (runs in the worker process).
 
     ``tasks`` carries registration and task messages; ``control``
     carries cancellation flags (read by a listener thread so they
-    overtake the task the worker is busy with); ``results`` carries
-    started/event/terminal messages back.  ``limits`` is the
-    coordinator's ``(max_tables, max_bytes)`` pair, so the operator's
-    memory bounds govern the shards where caches actually accumulate.
+    overtake the task the worker is busy with); ``results`` is the write
+    end of this worker's result pipe, carrying started/event/terminal
+    messages back.  ``limits`` is the coordinator's ``(max_tables,
+    max_bytes)`` pair, so the operator's memory bounds govern the shards
+    where caches actually accumulate.
     """
     # Imported here (not at module top) so a spawn-started worker pays
     # the import once, and so this module stays importable in contexts
@@ -127,6 +141,13 @@ def _worker_main(worker_id: int, tasks, control, results,
 
     cancelled: set[int] = set()
     flag_lock = threading.Lock()
+    send_lock = threading.Lock()
+
+    def report(message: tuple) -> None:
+        # ``send`` pickles the whole message before writing a byte, so
+        # an unpicklable payload raises here and nothing reaches the pipe.
+        with send_lock:
+            results.send(message)
 
     def listen() -> None:
         while True:
@@ -139,7 +160,10 @@ def _worker_main(worker_id: int, tasks, control, results,
     threading.Thread(target=listen, daemon=True,
                      name=f"ziggy-shard-{worker_id}-ctl").start()
 
-    parent = os.getppid()
+    # The coordinator's pid as recorded when it created this process: an
+    # ``os.getppid()`` read here would race a coordinator that dies
+    # before this line runs, and the worker would watch its new parent.
+    parent = mp.parent_process().pid
 
     def watch_parent() -> None:
         # A hard-killed coordinator (SIGKILL, default-action SIGTERM)
@@ -173,16 +197,16 @@ def _worker_main(worker_id: int, tasks, control, results,
                     # A corrupt cache snapshot must not cost the table.
                     context.register_table(table, name=name)
                 except Exception as exc:  # noqa: BLE001 - report upstream
-                    results.put((_REGISTER_FAILED, name, fingerprint,
-                                 _wire_exception(exc)))
+                    report((_REGISTER_FAILED, name, fingerprint,
+                            _wire_exception(exc)))
             continue
         _, task_id, task = message
         with flag_lock:
             if task_id in cancelled:
                 cancelled.discard(task_id)
-                results.put((_CANCELLED, task_id))
+                report((_CANCELLED, task_id))
                 continue
-        results.put((_STARTED, task_id))
+        report((_STARTED, task_id))
 
         def progress(stage: str, payload: Any,
                      _task_id: int = task_id) -> None:
@@ -190,25 +214,22 @@ def _worker_main(worker_id: int, tasks, control, results,
                 if _task_id in cancelled:
                     raise JobCancelled(str(_task_id))
             event = compact_event(StageEvent(_stage_kind(stage), payload))
-            results.put((_EVENT, _task_id,
-                         legacy_stage(event.kind), event.payload))
+            report((_EVENT, _task_id, legacy_stage(event.kind),
+                    event.payload))
 
         try:
             result = context.run(task, progress=progress)
         except JobCancelled:
-            results.put((_CANCELLED, task_id))
+            report((_CANCELLED, task_id))
         except BaseException as exc:  # noqa: BLE001 - relayed as outcome
-            results.put((_FAILED, task_id, _wire_exception(exc)))
+            report((_FAILED, task_id, _wire_exception(exc)))
         else:
-            # Queue puts pickle in a feeder thread, where a failure is
-            # silent; pre-validate so an unpicklable result surfaces as
-            # a failed outcome instead of a hung job.
             try:
-                pickle.dumps(result)
+                report((_DONE, task_id, result))
             except Exception as exc:  # noqa: BLE001 - report, don't hang
-                results.put((_FAILED, task_id, _wire_exception(exc)))
-            else:
-                results.put((_DONE, task_id, result))
+                # An unpicklable result surfaces as a failed outcome
+                # instead of a hung job.
+                report((_FAILED, task_id, _wire_exception(exc)))
         with flag_lock:
             cancelled.discard(task_id)
 
@@ -282,13 +303,19 @@ class _ProcessHandle(ExecutionHandle):
     def finished(self) -> bool:
         return self._finished.is_set()
 
-    def finish(self, status: str, result: Any,
-               error: BaseException | None) -> None:
+    def claim(self) -> bool:
+        """Mark the task finished; True only for the first caller, who
+        then owes the ``finish`` callback."""
         with self._lock:
             if self._finished.is_set():
-                return
+                return False
             self._finished.set()
-        self._finish(status, result, error)
+            return True
+
+    def finish(self, status: str, result: Any,
+               error: BaseException | None) -> None:
+        if self.claim():
+            self._finish(status, result, error)
 
     # -- ExecutionHandle -----------------------------------------------------
 
@@ -307,10 +334,22 @@ class _ProcessHandle(ExecutionHandle):
 
 
 class _Worker:
-    def __init__(self, process, tasks, control):
+    def __init__(self, process, tasks, control, results):
         self.process = process
         self.tasks = tasks
         self.control = control
+        #: Read end of the worker's result pipe; ``None`` once the pump
+        #: has read it to end-of-file (or it was dropped).
+        self.results = results
+
+    def close_results(self) -> None:
+        """Drop the result pipe (the pump stops waiting on it)."""
+        results, self.results = self.results, None
+        if results is not None:
+            try:
+                results.close()
+            except OSError:
+                pass  # already closed
 
     def dispose_queues(self) -> None:
         """Release the queues of a worker that will never read again.
@@ -376,7 +415,8 @@ class ProcessShardExecutor(Executor):
         self.max_bytes = max_bytes
         self.max_restarts = max(0, int(max_restarts))
         self.max_retries = max(0, int(max_retries))
-        self._results = self._ctx.Queue()
+        #: Wakes the pump out of its wait when the executor closes.
+        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
         self._workers: list[_Worker] = [
             self._spawn_process(index) for index in range(workers)]
         self._lock = threading.Lock()
@@ -407,13 +447,19 @@ class ProcessShardExecutor(Executor):
         tasks = self._ctx.Queue()
         control = self._ctx.Queue()
         suffix = f"-r{generation}" if generation else ""
-        process = self._ctx.Process(
-            target=_worker_main, args=(index, tasks, control,
-                                       self._results,
-                                       (self.max_tables, self.max_bytes)),
-            daemon=True, name=f"{self.name}-{index}{suffix}")
-        process.start()
-        return _Worker(process, tasks, control)
+        with _SPAWN_LOCK:
+            reader, writer = self._ctx.Pipe(duplex=False)
+            process = self._ctx.Process(
+                target=_worker_main, args=(index, tasks, control, writer,
+                                           (self.max_tables, self.max_bytes)),
+                daemon=True, name=f"{self.name}-{index}{suffix}")
+            try:
+                process.start()
+            finally:
+                # The worker holds the only write end from here on, so
+                # its death reads as end-of-file on ``reader``.
+                writer.close()
+        return _Worker(process, tasks, control, reader)
 
     # -- registration --------------------------------------------------------
 
@@ -490,88 +536,122 @@ class ProcessShardExecutor(Executor):
 
     def _pump_loop(self) -> None:
         """Replay worker messages into the submitters' callbacks."""
-        import queue as queue_mod
         last_reap = time.monotonic()
         while True:
             # Liveness-check the shards on idle gaps *and* on a clock,
             # so a dead worker is noticed even while other shards keep
-            # the results queue busy.
+            # their pipes busy.
             if time.monotonic() - last_reap >= 1.0:
                 last_reap = time.monotonic()
                 if self._reap_dead_workers():
                     return
-            try:
-                message = self._results.get(timeout=self.POLL_SECONDS)
-            except queue_mod.Empty:
+            with self._lock:
+                readers = {worker.results: worker for worker in self._workers
+                           if worker.results is not None}
+            ready = wait_for_ready([self._wake_reader, *readers],
+                                   timeout=self.POLL_SECONDS)
+            if not ready:
                 last_reap = time.monotonic()
                 if self._reap_dead_workers():
                     return
                 continue
-            if message is None:
-                return
-            tag = message[0]
-            if tag == _REGISTER_FAILED:
-                # Unmark so a later register_table re-ships the table
-                # instead of silently assuming the shard has it.
-                _, name, fingerprint, error = message
-                with self._lock:
-                    for registrations in self._registrations.values():
-                        registrations.pop((name, fingerprint), None)
-                    self._register_errors[name] = str(error)
-                continue
-            task_id = message[1]
-            with self._lock:
-                handle = self._pending.get(task_id)
-            if handle is None:
-                continue
-            if tag == _STARTED:
-                # ``begin`` fires exactly once per job, even when the
-                # task is re-executed on a respawned worker.
-                if handle.mark_started():
-                    continue
-                try:
-                    handle.begin()
-                except JobCancelled:
-                    self._send_cancel(handle)
-                except BaseException:  # noqa: BLE001 - never kill the pump
-                    self._send_cancel(handle)
-            elif tag == _EVENT:
-                _, _, stage, payload = message
-                try:
-                    handle.progress(stage, payload)
-                except JobCancelled:
-                    self._send_cancel(handle)
-                except BaseException:  # noqa: BLE001 - never kill the pump
-                    pass
-            else:
-                outcome = (("done", message[2], None) if tag == _DONE else
-                           ("failed", None, message[2]) if tag == _FAILED
-                           else ("cancelled", None, None))
-                # Finish on its own thread: the caller's finish hook may
-                # take session locks or post-process results, and must
-                # not stall event relay for every other shard.  The
-                # handle stays pending until the hook has run, so a
-                # wait=True close cannot return with the job still
-                # non-terminal.
-                def _complete(handle=handle, outcome=outcome):
-                    try:
-                        handle.finish(*outcome)
-                    finally:
-                        with self._lock:
-                            self._pending.pop(handle.task_id, None)
+            if self._wake_reader in ready:
+                return  # close() is done with the pump
+            for reader in ready:
+                self._relay(readers[reader])
 
-                threading.Thread(target=_complete, daemon=True,
-                                 name="ziggy-shard-finish").start()
+    def _relay(self, worker: _Worker) -> None:
+        """Read one message off a worker's pipe and dispatch it.
+
+        End-of-file, or a message cut short by its writer's death, drops
+        the pipe; a message that does not unpickle is skipped.  Neither
+        may kill the pump, which serves every other shard too.
+        """
+        try:
+            data = worker.results.recv_bytes()
+        except (EOFError, OSError):
+            worker.close_results()
+            return
+        try:
+            message = pickle.loads(data)
+        except Exception:  # noqa: BLE001 - never kill the pump
+            return
+        self._dispatch(message)
+
+    def _drain(self, worker: _Worker) -> None:
+        """Relay whatever a dead worker sent before it died, then drop
+        its pipe — so an outcome that made it out is never retried."""
+        while worker.results is not None and worker.results.poll(0):
+            self._relay(worker)
+        worker.close_results()
+
+    def _dispatch(self, message: tuple) -> None:
+        tag = message[0]
+        if tag == _REGISTER_FAILED:
+            # Unmark so a later register_table re-ships the table
+            # instead of silently assuming the shard has it.
+            _, name, fingerprint, error = message
+            with self._lock:
+                for registrations in self._registrations.values():
+                    registrations.pop((name, fingerprint), None)
+                self._register_errors[name] = str(error)
+            return
+        task_id = message[1]
+        with self._lock:
+            handle = self._pending.get(task_id)
+        if handle is None:
+            return
+        if tag == _STARTED:
+            # ``begin`` fires exactly once per job, even when the
+            # task is re-executed on a respawned worker.
+            if handle.mark_started():
+                return
+            try:
+                handle.begin()
+            except JobCancelled:
+                self._send_cancel(handle)
+            except BaseException:  # noqa: BLE001 - never kill the pump
+                self._send_cancel(handle)
+        elif tag == _EVENT:
+            _, _, stage, payload = message
+            try:
+                handle.progress(stage, payload)
+            except JobCancelled:
+                self._send_cancel(handle)
+            except BaseException:  # noqa: BLE001 - never kill the pump
+                pass
+        elif handle.claim():
+            outcome = (("done", message[2], None) if tag == _DONE else
+                       ("failed", None, message[2]) if tag == _FAILED
+                       else ("cancelled", None, None))
+            # Claimed here, on the pump, so a death noticed right after
+            # cannot retry or fail a task whose outcome already arrived.
+            # The hook runs on its own thread: it may take session locks
+            # or post-process results, and must not stall event relay
+            # for every other shard.  The handle stays pending until the
+            # hook has run, so a wait=True close cannot return with the
+            # job still non-terminal.
+            def _complete(handle=handle, outcome=outcome):
+                try:
+                    handle._finish(*outcome)
+                finally:
+                    with self._lock:
+                        self._pending.pop(handle.task_id, None)
+
+            threading.Thread(target=_complete, daemon=True,
+                             name="ziggy-shard-finish").start()
 
     def _reap_dead_workers(self) -> bool:
         """Detect dead workers and recover (or fail) their shards; True
         when the executor is closed **and** nothing is left in flight."""
         with self._lock:
-            dead = [index for index, worker in enumerate(self._workers)
+            dead = [(index, worker)
+                    for index, worker in enumerate(self._workers)
                     if not worker.process.is_alive()
                     and index not in self._respawning
                     and index not in self._dead_shards]
-        for index in dead:
+        for index, worker in dead:
+            self._drain(worker)
             self._recover_shard(index)
         with self._lock:
             return (self._closed and not self._pending
@@ -581,14 +661,13 @@ class ProcessShardExecutor(Executor):
         """One dead shard: budget its tasks' retries and either kick off
         a respawn or fail everything stranded there."""
         doomed: list[tuple[_ProcessHandle, str]] = []
-        thread: threading.Thread | None = None
         with self._lock:
             worker = self._workers[index]
             if worker.process.is_alive():  # lost a race with a respawn
                 return
             exitcode = worker.process.exitcode
             stranded = [h for h in self._pending.values()
-                        if h.worker_index == index]
+                        if h.worker_index == index and not h.finished]
             died = f"worker shard {index} died (exitcode {exitcode})"
             if self._closed or self._restarts[index] >= self.max_restarts:
                 if not self._closed:
@@ -623,11 +702,13 @@ class ProcessShardExecutor(Executor):
                     target=self._respawn_shard,
                     args=(index, exitcode, restart_no, retried),
                     daemon=True, name=f"{self.name}-respawn-{index}")
+                # Started under the lock: a close() that sees the shard
+                # respawning joins this thread, and joining a thread
+                # that has not started yet raises.
+                thread.start()
                 self._respawn_threads.append(thread)
         for handle, reason in doomed:
             handle.finish("failed", None, WorkerError(reason))
-        if thread is not None:
-            thread.start()
 
     def _respawn_shard(self, index: int, exitcode, restart_no: int,
                        retried: "list[_ProcessHandle]") -> None:
@@ -819,15 +900,13 @@ class ProcessShardExecutor(Executor):
                 worker.process.join(timeout=5)
         for handle in leftovers:
             handle.finish("cancelled", None, None)
-        self._results.put(None)
+        self._wake_writer.send(None)
         self._pump.join(timeout=5)
-        # Every reader is gone (workers terminated, pump stopped):
-        # buffered messages are undeliverable, so the feeders must not
-        # be joined on them at interpreter exit.
-        self._results.cancel_join_thread()
-        self._results.close()
         for worker in self._workers:
             worker.dispose_queues()
+            worker.close_results()
+        self._wake_writer.close()
+        self._wake_reader.close()
 
     def describe(self) -> dict:
         with self._lock:

@@ -1,8 +1,9 @@
-"""The service subsystem: protocol v2, jobs, the service facade, HTTP.
+"""The service subsystem: protocol v2, jobs, the service facade, a client.
 
 Layering (each layer only knows the one below it)::
 
-    server.py / client.py      HTTP veneer (stdlib http.server / urllib)
+    repro.gateway              HTTP front-end (asyncio, stdlib only)
+    client.py                  Python client for it (urllib)
     service.py                 ZiggyService: sessions, batches, jobs
     jobs.py                    JobManager: thread pool + job lifecycle
     protocol.py                typed request/response messages (v2)

@@ -85,7 +85,7 @@ def _retry_after_seconds(decoded: Mapping,
 
 
 class ZiggyClient:
-    """Speaks protocol v2 to a :mod:`repro.service.server` endpoint.
+    """Speaks protocol v2 to a :mod:`repro.gateway` endpoint.
 
     Args:
         base_url: e.g. ``"http://127.0.0.1:8765"`` (no trailing slash

@@ -170,7 +170,7 @@ class Job:
     restored_timings: dict | None = None
     #: Zero-argument callbacks fired (with the job lock held) whenever
     #: waiters are woken — events appended, terminal transitions,
-    #: prunes.  This is the async front-end's wakeup path: instead of
+    #: prunes.  This is the gateway's wakeup path: instead of
     #: parking a thread per subscriber in :meth:`JobManager.events_since`,
     #: an event loop registers ``loop.call_soon_threadsafe`` here and
     #: polls the log non-blockingly when pinged.  Watchers MUST be
@@ -666,7 +666,7 @@ class JobManager:
     def open_jobs(self) -> int:
         """How many jobs are not yet terminal (pending + running).
 
-        The front-ends' bounded-submission-queue gauge: O(live jobs),
+        The gateway's bounded-submission-queue gauge: O(live jobs),
         which retention keeps small.  Reads statuses without the per-job
         locks — a gauge may be one transition stale.
         """

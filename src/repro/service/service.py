@@ -27,7 +27,7 @@ import threading
 import time
 from typing import Any, Callable, Mapping
 
-from repro.app.session import SessionEntry, ZiggySession
+from repro.app.session import HISTORY_LIMIT, SessionEntry, ZiggySession
 from repro.core.config import ZiggyConfig
 from repro.core.profiling import PROFILER
 from repro.core.views import CharacterizationResult
@@ -359,6 +359,11 @@ class ZiggyService:
         hits: "int | None" = 0
         misses: "int | None" = 0
         with self._session_lock(request.client_id):
+            prior = list(session.history)
+            # Batch position -> history entry.  Each group's last
+            # HISTORY_LIMIT entries survive its run, and those cover
+            # every position the capped history keeps.
+            entries: dict[int, SessionEntry] = {}
             for group in groups:
                 cache = session.engine_for(group.table).cache
                 # Snapshot so the response reports THIS batch's
@@ -371,6 +376,9 @@ class ZiggyService:
                     progress=self._group_progress(group, progress))
                 for local, result in enumerate(group_results):
                     results[group.indices[local]] = result
+                kept = session.history[-min(len(group.wheres),
+                                            HISTORY_LIMIT):]
+                entries.update(zip(group.indices[-len(kept):], kept))
                 if cache is None:
                     hits = misses = None
                 elif hits is not None and misses is not None:
@@ -379,13 +387,9 @@ class ZiggyService:
             # ``run_many`` appended history in group-execution order;
             # restore submission order so every backend records the
             # same session history for the same batch.
-            tail = session.history[-len(results):]
-            positions = [position for group in groups
-                         for position in group.indices]
-            reordered = list(tail)
-            for entry, position in zip(tail, positions):
-                reordered[position] = entry
-            session.history[-len(results):] = reordered
+            session.history[:] = (prior + [
+                entries[position] for position in sorted(entries)
+            ])[-HISTORY_LIMIT:]
         return results, hits, misses
 
     def _run_groups_sharded(self, session: ZiggySession,
@@ -435,9 +439,11 @@ class ZiggyService:
                  zip(group.wheres, outcome["terminal"][1]))),
             key=lambda item: item[0])
         with self._session_lock(request.client_id):
-            for _, group, where, result in order:
+            # Only the last HISTORY_LIMIT entries would survive; skip
+            # re-selecting the rest.
+            for _, group, where, result in order[-HISTORY_LIMIT:]:
                 selection = self.database.select(group.table, where)
-                session.history.append(SessionEntry(
+                session.record(SessionEntry(
                     query_text=where, table_name=group.table,
                     result=result, selection=selection))
         return results
@@ -557,7 +563,7 @@ class ZiggyService:
             # for the same client is never blocked behind the scan.
             selection = self.database.select(table_name, inner.where)
             with self._session_lock(inner.client_id):
-                session.history.append(SessionEntry(
+                session.record(SessionEntry(
                     query_text=inner.where, table_name=table_name,
                     result=result, selection=selection))
             return CharacterizeResponse.from_result(
@@ -645,7 +651,7 @@ class ZiggyService:
         """Register a non-blocking wakeup callback on a job's event log
         (see :meth:`JobManager.watch`); returns the unregister callable.
 
-        The async front-end uses this instead of parking a thread per
+        The gateway uses this instead of parking a thread per
         subscriber in :meth:`job_events`.
         """
         return self.jobs.watch(job_id, callback)

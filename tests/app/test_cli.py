@@ -26,7 +26,10 @@ class TestCharacterize:
         code, out = run_cli("--dataset", "boxoffice", "--seed-rows", "300",
                             "--where", "gross > 200000000", "--views", "2")
         assert code == 0
-        assert "3." not in out.split("characteristic")[1]
+        # Skip the header line: it ends with the wall-clock time
+        # ("... in 13.2 ms"), which may itself contain "3.".
+        listing = out.split("characteristic")[1].split("\n", 1)[1]
+        assert "3." not in listing
 
     def test_plot_flag(self):
         code, out = run_cli("--dataset", "boxoffice", "--seed-rows", "300",
@@ -140,6 +143,16 @@ class TestServe:
         assert args.port == 0
         assert args.dataset == ["boxoffice"]
         assert args.quiet
+
+    def test_frontend_flag_accepts_only_async(self, capsys):
+        from repro.app.cli import build_serve_parser
+        parser = build_serve_parser()
+        assert parser.parse_args([]).frontend == "async"
+        assert parser.parse_args(["--frontend", "async"]).frontend == "async"
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["--frontend", "threaded"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_serve_bad_csv_exits_nonzero(self, tmp_path):
         from repro.app.cli import serve_main

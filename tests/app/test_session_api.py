@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.app.api import ZiggyApi, view_to_dict
-from repro.app.session import ZiggySession
+from repro.app.session import HISTORY_LIMIT, ZiggySession
 from repro.errors import ReproError
 
 
@@ -40,6 +40,15 @@ class TestSession:
         session.run("gross > 100000000")
         session.run("gross > 300000000")
         assert len(session.history) == 2
+
+    def test_history_keeps_the_last_limit_entries(self, session):
+        wheres = [f"critic_score > {45 + i / 4}"
+                  for i in range(HISTORY_LIMIT + 2)]
+        for where in wheres:
+            session.run(where)
+        assert [e.query_text for e in session.history] == \
+            wheres[-HISTORY_LIMIT:]
+        assert session.current.query_text == wheres[-1]
 
     def test_no_query_yet_raises(self, session):
         with pytest.raises(ReproError):

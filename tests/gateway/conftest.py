@@ -1,9 +1,4 @@
-"""Fixtures for the gateway suite: both front-ends behind one surface.
-
-Every test in this package runs twice — once against the threaded
-baseline, once against the asyncio gateway — because the whole point of
-the shared route layer is that the two are interchangeable.
-"""
+"""Fixtures for the gateway suite: served services, cleaned up."""
 
 from __future__ import annotations
 
@@ -11,31 +6,32 @@ import threading
 
 import pytest
 
-from repro.gateway import GatewayPolicy, make_frontend
+from repro.gateway import GatewayPolicy, make_async_server
 from repro.runtime import ZiggyRuntime
 from repro.service import ZiggyService
 
-FRONTENDS = ("threaded", "async")
 
-
-@pytest.fixture(params=FRONTENDS)
+# One value, kept so test ids stay stable (``test_x[async]``);
+# ``serve_factory`` requests it so every test using it carries the id.
+@pytest.fixture(params=("async",))
 def frontend(request) -> str:
+    """The front-end ``/healthz`` reports."""
     return request.param
 
 
 @pytest.fixture
 def serve_factory(frontend):
-    """Start front-ends over arbitrary services/policies; all cleaned up.
+    """Start servers over arbitrary services/policies; all cleaned up.
 
-    Returns ``start(service, policy=None) -> base_url``.  The factory
-    owns teardown: servers are closed (which shuts their service down)
-    and serve threads joined, whatever the test outcome.
+    Returns ``start(service, policy=None, verbose=False) -> base_url``.
+    The factory owns teardown: servers are closed (which shuts their
+    service down) and serve threads joined, whatever the test outcome.
     """
     started: list[tuple] = []
 
-    def start(service: ZiggyService,
-              policy: GatewayPolicy | None = None) -> str:
-        server = make_frontend(service, frontend=frontend, policy=policy)
+    def start(service: ZiggyService, policy: GatewayPolicy | None = None,
+              verbose: bool = False) -> str:
+        server = make_async_server(service, policy=policy, verbose=verbose)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         started.append((server, thread))

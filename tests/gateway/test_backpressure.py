@@ -1,6 +1,6 @@
-"""HTTP-level backpressure and admission tests, on both front-ends:
-bounded job queue -> 429 + Retry-After, per-client and per-table
-rejection, and the client's transparent throttle retry."""
+"""HTTP-level backpressure and admission tests: bounded job queue ->
+429 + Retry-After, per-client and per-table rejection, and the client's
+transparent throttle retry."""
 
 import json
 import threading

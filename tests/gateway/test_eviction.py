@@ -1,5 +1,5 @@
 """Slow-consumer eviction: a stalled SSE subscriber is dropped without
-delaying healthy subscribers of the same job — on both front-ends."""
+delaying healthy subscribers of the same job."""
 
 import json
 import socket

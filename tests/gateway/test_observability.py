@@ -1,5 +1,5 @@
 """The gateway's health surface: saturation and fault counters on
-``/healthz`` and ``GET /v2/state``, identically on both front-ends."""
+``/healthz`` and ``GET /v2/state``."""
 
 import json
 import threading

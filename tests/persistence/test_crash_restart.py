@@ -106,9 +106,10 @@ class ServeProcess:
                 self.proc.wait(timeout=15)
 
 
-@pytest.fixture(params=("threaded", "async"))
+# One value, kept so test ids stay stable (``test_x[async]``).
+@pytest.fixture(params=("async",))
 def frontend(request) -> str:
-    """Both front-ends must survive SIGKILL and recover identically."""
+    """The ``--frontend`` value both server processes are started with."""
     return request.param
 
 

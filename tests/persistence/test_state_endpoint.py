@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.data.boxoffice import make_boxoffice
-from repro.gateway import make_frontend
+from repro.gateway import make_async_server
 from repro.runtime import ZiggyRuntime
 from repro.service.client import ZiggyClient
 from repro.service.service import ZiggyService
@@ -17,19 +17,16 @@ def table():
     return make_boxoffice(n_rows=120, seed=5)
 
 
-@pytest.fixture(params=("threaded", "async"))
-def live_server(request, tmp_path, table):
-    """A served durable service; yields (client, service, server).
-
-    Parametrized over both front-ends: the durable-state surface must
-    not depend on the transport.
-    """
+# One value, kept so test ids stay stable (``test_x[async]``).
+@pytest.fixture(params=("async",))
+def live_server(tmp_path, table):
+    """A served durable service; yields (client, service, server)."""
     service = ZiggyService(executor="inline",
                            state_dir=str(tmp_path / "state"),
                            snapshot_interval=0, runtime=ZiggyRuntime())
     service.register_table(table)
     service.recover()
-    server = make_frontend(service, frontend=request.param)
+    server = make_async_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -56,7 +53,7 @@ class TestHealthz:
     def test_in_memory_service_reports_disabled(self, table):
         service = ZiggyService(executor="inline", runtime=ZiggyRuntime())
         service.register_table(table)
-        server = make_frontend(service)
+        server = make_async_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -95,7 +92,7 @@ class TestStateEndpoint:
                                  runtime=ZiggyRuntime())
         successor.register_table(table)
         successor.recover()
-        successor_server = make_frontend(successor)
+        successor_server = make_async_server(successor)
         thread = threading.Thread(target=successor_server.serve_forever,
                                   daemon=True)
         thread.start()

@@ -7,6 +7,9 @@ the production one.  This file is the "respawn suite" the CI
 fault-injection job runs against a live server.
 """
 
+import os
+import random
+import signal
 import threading
 import time
 
@@ -95,6 +98,57 @@ class TestKillMidJob:
             status, _, error = calls.wait(300)
             assert status == "done", error
             assert begins == [1]
+        finally:
+            executor.close(wait=False)
+
+
+class TestKillLoop:
+    def test_seeded_kills_each_finish_exactly_once(self, slow_table):
+        """SIGKILL the worker from the relay, at a seeded event of each job.
+
+        The worker is still sending when the signal lands, so some kills
+        hit it mid-message.  That must not jam the relay for its
+        replacement: every job gets exactly one terminal outcome, and it
+        is ``done`` (retried, or delivered before the death).
+        """
+        rng = random.Random(20160901)
+        trials = 8
+        executor = ProcessShardExecutor(workers=1, max_restarts=trials,
+                                        max_retries=1)
+        try:
+            executor.register_table(slow_table)
+            for trial in range(trials):
+                calls = Collector()
+                finishes = []
+                kill_at = rng.randint(1, 12)
+                pid = executor._workers[0].process.pid
+
+                def progress(stage, payload, calls=calls, kill_at=kill_at,
+                             pid=pid):
+                    calls.events.append((stage, payload))
+                    if len(calls.events) == kill_at:
+                        os.kill(pid, signal.SIGKILL)
+
+                def finish(status, result, error, calls=calls,
+                           finishes=finishes):
+                    finishes.append(status)
+                    calls.finish(status, result, error)
+
+                executor.submit(
+                    CharacterizationTask(table=slow_table.name,
+                                         where=SLOW_PREDICATE,
+                                         fingerprint=slow_table.fingerprint()),
+                    begin=calls.begin, progress=progress, finish=finish)
+                status, _, error = calls.wait(60)
+                assert status == "done", (trial, kill_at, error)
+                time.sleep(0.2)  # room for a duplicate outcome to show
+                assert finishes == ["done"], (trial, kill_at)
+                # the next job goes to the replacement worker
+                deadline = time.monotonic() + 30
+                while (executor._workers[0].process.pid == pid
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+            assert executor.describe()["restarts"] == {"0": trials}
         finally:
             executor.close(wait=False)
 
@@ -267,16 +321,16 @@ class TestServerLevelRespawn:
     stream of a live server."""
 
     def test_worker_restart_event_streams_over_sse(self, slow_table):
+        from repro.gateway import make_async_server
         from repro.runtime import ZiggyRuntime
         from repro.service.client import ZiggyClient
-        from repro.service.server import make_server
         from repro.service.service import ZiggyService
 
         executor = ProcessShardExecutor(workers=2, max_restarts=2,
                                         max_retries=2)
         service = ZiggyService(runtime=ZiggyRuntime(), executor=executor)
         service.register_table(slow_table)
-        server = make_server(service)
+        server = make_async_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

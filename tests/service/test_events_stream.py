@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.errors import JobNotFoundError
-from repro.gateway import make_frontend
+from repro.gateway import make_async_server
 from repro.runtime import ZiggyRuntime
 from repro.service import CharacterizeRequest, ZiggyService
 from repro.service.client import RemoteError, ZiggyClient
@@ -21,12 +21,12 @@ def service(boxoffice_small):
     s.shutdown(wait=False)
 
 
-@pytest.fixture(params=("threaded", "async"))
-def http(request, boxoffice_small):
-    # SSE end-to-end tests run against both front-ends.
+# One value, kept so test ids stay stable (``test_x[async]``).
+@pytest.fixture(params=("async",))
+def http(boxoffice_small):
     service = ZiggyService(max_workers=2, runtime=ZiggyRuntime())
     service.register_table(boxoffice_small)
-    server = make_frontend(service, frontend=request.param, port=0)
+    server = make_async_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

@@ -10,11 +10,11 @@ import pytest
 
 from repro.data.crime import make_crime
 from repro.errors import JobNotFoundError
+from repro.gateway import make_async_server
 from repro.runtime import ZiggyRuntime
 from repro.service import CharacterizeRequest, ZiggyService
 from repro.service.client import ZiggyClient
 from repro.service.jobs import JobManager
-from repro.service.server import make_server
 
 #: A selective predicate that works on every crime table size used here.
 PREDICATE = "violent_crime_rate > 0.14"
@@ -46,7 +46,7 @@ def service(request, crime_table):
 @pytest.fixture(params=BACKENDS, scope="module")
 def http(request, crime_table):
     svc = make_service(request.param, crime_table)
-    server = make_server(svc, port=0)
+    server = make_async_server(svc, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -246,7 +246,7 @@ class TestServerDrain:
     def test_close_drains_sse_handlers_and_backend(self, backend,
                                                    crime_table):
         service = make_service(backend, crime_table, max_workers=1)
-        server = make_server(service, port=0)
+        server = make_async_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]

@@ -6,19 +6,16 @@ import urllib.request
 
 import pytest
 
-from repro.gateway import make_frontend
+from repro.gateway import make_async_server
 from repro.service import ZiggyService
 from repro.service.client import RemoteError, TransportError, ZiggyClient
 
 
-@pytest.fixture(scope="module", params=("threaded", "async"))
-def server_url(request, boxoffice_small):
-    # The whole module runs against both front-ends: the async gateway
-    # must be a drop-in for the threaded baseline.
+@pytest.fixture(scope="module")
+def server_url(boxoffice_small):
     service = ZiggyService(max_workers=2)
     service.register_table(boxoffice_small)
-    server = make_frontend(service, frontend=request.param,
-                           port=0)  # ephemeral port
+    server = make_async_server(service, port=0)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

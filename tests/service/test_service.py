@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.app.api import ZiggyApi
+from repro.app.session import HISTORY_LIMIT
 from repro.errors import JobNotFoundError, NoActiveQueryError, ReproError
 from repro.service import (
     BatchRequest,
@@ -188,6 +189,35 @@ class TestBatch:
             history = svc.session("alias").history
             assert [entry.table_name for entry in history] == \
                 ["alias_a", "alias_b"]
+        finally:
+            svc.shutdown(wait=False)
+
+
+class TestHistoryCap:
+    @pytest.mark.parametrize("backend", ("inline", "thread", "process"))
+    def test_over_cap_batch_keeps_last_items_in_submission_order(
+            self, boxoffice_small, backend):
+        """Two names for one table make two batch groups; an odd count
+        of alternating items puts the last item in the first group, so
+        execution order ends on a different item than submission."""
+        from repro.runtime import ZiggyRuntime
+
+        svc = ZiggyService(max_workers=1, runtime=ZiggyRuntime(),
+                           executor=backend)
+        svc.register_table(boxoffice_small, name="alias_a")
+        svc.register_table(boxoffice_small, name="alias_b")
+        items = tuple((("alias_a", "alias_b")[i % 2],
+                       f"critic_score > {45 + i / 4}")
+                      for i in range(HISTORY_LIMIT + 7))
+        try:
+            svc.characterize_many(BatchRequest(items=items,
+                                               client_id="capped"))
+            session = svc.session("capped")
+            assert len(session.history) == HISTORY_LIMIT
+            assert [(e.table_name, e.query_text)
+                    for e in session.history] == \
+                list(items[-HISTORY_LIMIT:])
+            assert session.current.query_text == items[-1][1]
         finally:
             svc.shutdown(wait=False)
 
