@@ -6,12 +6,13 @@ Two experiments share this module:
   preparation scans the data, so the expected shape is ~linear growth in
   n with a fixed search/post overhead;
 * the **warm series** (``__main__``): repeated queries against a
-  sketch-warmed :class:`TieredStatsCache`, where per-query scoring is
-  answered from the table's reservoir sample.  Since the sample size is
-  fixed, warm per-query time must grow **sub-linearly** in n — the gate
-  asserts < 1.6x per row-count doubling (a linear path would be ~2x).
+  :class:`StatsCache` warmed with ``ensure_sketch``, where per-query
+  scoring is answered from the table's reservoir sample.  Since the
+  sample size is fixed, warm per-query time must grow **sub-linearly**
+  in n — the gate asserts < 1.6x per row-count doubling (a linear path
+  would be ~2x).
   A rank-fidelity section re-runs the same characterization through the
-  exact tier and checks the top views agree.
+  exact tier (a cache without a sketch) and checks the top views agree.
 
 Usage::
 
@@ -32,7 +33,7 @@ import time
 import numpy as np
 
 from repro.core.pipeline import Ziggy
-from repro.core.stats_cache import StatsCache, TieredStatsCache
+from repro.core.stats_cache import StatsCache
 from repro.data.planted import make_planted
 from repro.engine.database import Database
 
@@ -119,7 +120,7 @@ def _warm_series_point(n_rows: int, repeats: int) -> dict:
     laps: dict[str, list[float]] = {"tiered": [], "exact": []}
     counters = {}
     for tier in ("tiered", "exact"):
-        cache = TieredStatsCache() if tier == "tiered" else StatsCache()
+        cache = StatsCache()
         if tier == "tiered":
             cache.ensure_sketch(ds.table)
         engine = Ziggy(db, cache=cache)
@@ -152,7 +153,7 @@ def _rank_fidelity(n_rows: int) -> dict:
     db = Database()
     db.register(ds.table)
 
-    tiered_cache = TieredStatsCache()
+    tiered_cache = StatsCache()
     tiered_cache.ensure_sketch(ds.table)
     tiered = Ziggy(db, cache=tiered_cache) \
         .characterize_selection(ds.selection)

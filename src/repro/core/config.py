@@ -33,9 +33,6 @@ MULTIPLICITY_SCOPES = ("per_view", "table_wide")
 #: Recognized view scoring modes (how component scores combine).
 SCORE_MODES = ("mean", "sum")
 
-#: Recognized sketch-tier modes.
-SKETCH_TIERS = ("auto", "off")
-
 
 @dataclass(frozen=True)
 class ZiggyConfig:
@@ -94,18 +91,16 @@ class ZiggyConfig:
             complement sampled proportionally, deterministic seed) — the
             BlinkDB-style speed/accuracy trade-off the paper's
             introduction cites.  None (default) = exact.
-        sketch_tier: "auto" (default) lets preparation answer component
-            scoring from a table's sketch (reservoir sample + streaming
-            moments) when the shared cache is tiered and the sketch's
-            error bound is decisive; "off" forces the exact tier
-            everywhere.  Tables no larger than the sketch capacity are
-            always exact regardless (the sketch covers every row there,
-            so there is nothing to approximate).
         sketch_margin: the decisiveness bound for sketch answers — the
             largest acceptable half-width of a sketched mean in
             standard-deviation units (``1.96 / sqrt(k)`` for ``k``
-            sampled values).  Groups whose sample cannot reach this
-            margin fall back to the exact scan.
+            sampled values).  Preparation answers component scoring
+            from a table's sketch (reservoir sample + streaming moments)
+            only when the statistics cache holds one for the table and
+            both groups' samples reach this margin; everything else
+            falls back to the exact scan.  Tables no larger than the
+            sketch capacity are always exact (the sketch covers every
+            row there, so there is nothing to approximate).
         random_seed: seed for any subsampled estimator (Cliff's delta,
             row sampling).
     """
@@ -130,7 +125,6 @@ class ZiggyConfig:
     mi_bins: int = 8
     explanation_components: int = 3
     sample_rows: int | None = None
-    sketch_tier: str = "auto"
     sketch_margin: float = 0.1
     random_seed: int = 7
 
@@ -174,10 +168,6 @@ class ZiggyConfig:
             raise ConfigError(f"mi_bins must be >= 2, got {self.mi_bins}")
         if self.explanation_components < 1:
             raise ConfigError("explanation_components must be >= 1")
-        if self.sketch_tier not in SKETCH_TIERS:
-            raise ConfigError(
-                f"sketch_tier must be one of {SKETCH_TIERS}, "
-                f"got {self.sketch_tier!r}")
         if not 0.0 < self.sketch_margin <= 1.0:
             raise ConfigError(
                 f"sketch_margin must be in (0, 1], got {self.sketch_margin}")

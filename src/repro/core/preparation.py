@@ -28,7 +28,7 @@ from repro.core.dissimilarity import (
     build_normalizer,
     make_component_score,
 )
-from repro.core.stats_cache import StatsCache, TieredStatsCache
+from repro.core.stats_cache import StatsCache
 from repro.engine.column import CategoricalColumn
 from repro.engine.database import Selection
 from repro.errors import EmptySelectionError
@@ -204,14 +204,6 @@ class PreparationEngine:
             out.append(col.name)
         return tuple(out)
 
-    @staticmethod
-    def _sketch_cache(cache: StatsCache,
-                      config: ZiggyConfig) -> TieredStatsCache | None:
-        """The cache's sketch tier, when present and enabled."""
-        if config.sketch_tier == "off":
-            return None
-        return cache if isinstance(cache, TieredStatsCache) else None
-
     def _build_column_slices(self, selection: Selection,
                              columns: tuple[str, ...],
                              cache: StatsCache,
@@ -219,7 +211,6 @@ class PreparationEngine:
                              notes: list[str]) -> dict[str, ColumnSlice]:
         table = selection.table
         mask = selection.mask
-        tiered = self._sketch_cache(cache, config)
         sketched = 0
         numeric_total = 0
         slices: dict[str, ColumnSlice] = {}
@@ -236,9 +227,8 @@ class PreparationEngine:
                 )
                 continue
             numeric_total += 1
-            answer = (tiered.sketch_column_answer(selection, name,
-                                                  config.sketch_margin)
-                      if tiered is not None else None)
+            answer = cache.sketch_column_answer(selection, name,
+                                                config.sketch_margin)
             if answer is not None:
                 inside_stats, outside_stats, sample_in, sample_out = answer
                 # Raw arrays are the *sampled* rows: raw-value tests
@@ -282,10 +272,8 @@ class PreparationEngine:
         numeric = tuple(c for c in columns if not slices[c].is_categorical)
         if len(numeric) < 2:
             return {}
-        tiered = self._sketch_cache(cache, config)
-        answer = (tiered.sketch_group_correlations(selection, numeric,
-                                                   config.sketch_margin)
-                  if tiered is not None else None)
+        answer = cache.sketch_group_correlations(selection, numeric,
+                                                 config.sketch_margin)
         if answer is not None:
             corr_in, n_in, corr_out, n_out = answer
             notes.append("sketch tier answered pairwise correlations")

@@ -33,13 +33,17 @@ Two bounds keep long-lived shared caches healthy:
 * a per-fingerprint key index makes :meth:`invalidate_fingerprint`
   O(entries for that table) instead of a scan over every store.
 
-:class:`TieredStatsCache` adds the **sketch tier** on top: a
-:class:`~repro.stats.sketches.TableSketch` built once per table answers
-per-query component scoring from its shared reservoir sample whenever the
-sample is large enough for the configured error bound to decide the
-comparison — the exact tier only runs for the undecided remainder.
-Sketches live in a regular entry store, so ``snapshot()`` /
-``merge_from`` / pickling carry them across shards and restarts for free.
+The **sketch tier** sits underneath the exact stores.  Once
+:meth:`StatsCache.ensure_sketch` has built a
+:class:`~repro.stats.sketches.TableSketch` for a table, per-query
+component scoring is answered from the sketch's shared reservoir sample
+whenever the sample is large enough for the configured error bound to
+decide the comparison — the exact tier only runs for the undecided
+remainder.  The runtime's registry builds the sketch at table
+registration; a library :class:`~repro.core.pipeline.Ziggy` cache never
+does, so it always answers exactly.  Sketches live in a regular entry
+store, so ``snapshot()`` / ``merge_from`` / pickling carry them across
+shards and restarts for free.
 
 Accessors are serialized with a reentrant lock so one cache instance can
 be shared across client sessions and job threads — the basis of the
@@ -131,21 +135,48 @@ class StatsCache:
     key construction is internal (content fingerprints, never object
     identity).  Safe to share across threads.
 
+    A table answers from the sketch tier exactly when
+    :meth:`ensure_sketch` ran for it (or a sketch arrived through
+    :meth:`merge_from`):
+
+    * :meth:`sketch_column_answer` gates on the non-missing sample count
+      inside **and** outside reaching
+      :func:`~repro.stats.sketches.required_sample` for the margin;
+    * :meth:`sketch_group_correlations` gates the same way on sampled
+      row counts.
+
+    Tables at or under ``sketch_capacity`` rows return ``None`` from both
+    (``covers_all``): the exact tier is already cheap there and stays
+    authoritative, so small-table results are bit-identical with or
+    without a sketch.  Every undecided answer falls back to the exact
+    accessors and is counted in ``counters.sketch_fallbacks``.
+
     Args:
         max_inside_entries: LRU cap on each per-predicate store
             (``_inside_stats`` and ``_inside_moments`` are bounded
             independently at this size).
+        sketch_capacity: reservoir rows of the sketches
+            :meth:`ensure_sketch` builds.
+        sketch_seed: seed of the sketches' row reservoir.
     """
 
     counters: CacheCounters = field(default_factory=CacheCounters)
     max_inside_entries: int = DEFAULT_MAX_INSIDE_ENTRIES
+    sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
+    sketch_seed: int = DEFAULT_SKETCH_SEED
 
     #: The entry stores pickled by ``__getstate__``, in declaration order.
     _STORES = ("_column_stats", "_inside_stats", "_global_moments",
-               "_inside_moments", "_dependency")
+               "_inside_moments", "_dependency", "_sketches")
 
     #: Stores under the per-predicate LRU cap (insertion-ordered).
     _BOUNDED = frozenset({"_inside_stats", "_inside_moments"})
+
+    #: Configuration carried by pickles and snapshots, with the defaults
+    #: a pickle that lacks a field restores.
+    _CONFIG = {"max_inside_entries": DEFAULT_MAX_INSIDE_ENTRIES,
+               "sketch_capacity": DEFAULT_SKETCH_CAPACITY,
+               "sketch_seed": DEFAULT_SKETCH_SEED}
 
     def __post_init__(self):
         self._lock = threading.RLock()
@@ -154,6 +185,7 @@ class StatsCache:
         self._global_moments: dict[tuple[str, tuple[str, ...]], PairwiseMoments] = {}
         self._inside_moments: OrderedDict[tuple[str, str, tuple[str, ...]], PairwiseMoments] = OrderedDict()
         self._dependency: dict[tuple[str, str, int, tuple[str, ...]], DependencyMatrix] = {}
+        self._sketches: dict[tuple[str], TableSketch] = {}
         # fingerprint -> {(store_name, key)}: the eviction index that
         # makes invalidate_fingerprint proportional to one table's
         # entries instead of the whole cache.
@@ -198,12 +230,8 @@ class StatsCache:
 
     # -- serialization -----------------------------------------------------------
 
-    def _config_state(self) -> dict:
-        return {"max_inside_entries": self.max_inside_entries}
-
-    def _restore_config(self, cfg: dict) -> None:
-        self.max_inside_entries = int(
-            cfg.get("max_inside_entries", DEFAULT_MAX_INSIDE_ENTRIES))
+    def _config(self) -> dict:
+        return {name: getattr(self, name) for name in self._CONFIG}
 
     def __getstate__(self) -> dict:
         """Pickle the entries, counters and config, never the lock.
@@ -217,12 +245,14 @@ class StatsCache:
         with self._lock:
             state = {name: dict(getattr(self, name)) for name in self._STORES}
             state["counters"] = self.counters
-            state["config"] = self._config_state()
+            state["config"] = self._config()
             return state
 
     def __setstate__(self, state: dict) -> None:
         self.counters = _restore_counters(state.pop("counters", None))
-        self._restore_config(state.pop("config", None) or {})
+        config = state.pop("config", None) or {}
+        for name, default in self._CONFIG.items():
+            setattr(self, name, int(config.get(name, default)))
         self._lock = threading.RLock()
         self._by_fingerprint = {}
         for name in self._STORES:
@@ -231,10 +261,6 @@ class StatsCache:
             for key, value in (state.get(name) or {}).items():
                 store[key] = value
                 self._index_add(name, key)
-
-    def _empty_clone(self) -> "StatsCache":
-        """A fresh cache with this one's configuration and no entries."""
-        return StatsCache(max_inside_entries=self.max_inside_entries)
 
     def snapshot(self) -> "StatsCache":
         """A detached, picklable copy of this cache's current entries.
@@ -246,7 +272,7 @@ class StatsCache:
         the registration-time object — means statistics computed since
         registration warm-restore too.
         """
-        clone = self._empty_clone()
+        clone = StatsCache(**self._config())
         clone.merge_from(self)
         return clone
 
@@ -270,14 +296,10 @@ class StatsCache:
         """Absorb another cache's entries (existing keys win); returns the
         number of entries copied.  This is how a worker shard adopts a
         pre-warmed snapshot shipped from the coordinating process.
-
-        Stores the other cache lacks (a plain cache merged into a tiered
-        one, or vice versa) are skipped, so the two kinds interoperate.
         """
         copied = 0
         with other._lock:
-            snapshots = [dict(getattr(other, name, None) or {})
-                         for name in self._STORES]
+            snapshots = [dict(getattr(other, name)) for name in self._STORES]
         with self._lock:
             for name, snap in zip(self._STORES, snapshots):
                 store = getattr(self, name)
@@ -296,13 +318,26 @@ class StatsCache:
     # -- per-column summaries ------------------------------------------------------
 
     def global_column_stats(self, table: Table, column: str) -> SummaryStats:
-        """Whole-table summary of one numeric column (computed once)."""
+        """Whole-table summary of one numeric column (computed once).
+
+        With a sketch for the table, the summary is served from the
+        sketch's streaming moments.  They are exact (one full pass at
+        build time), so this is not an approximation — it just avoids a
+        second scan of the column on a cold exact store.  Served entries
+        count as ``sketch_hits``, not exact-tier traffic.
+        """
         key = (self._key(table), column)
         with self._lock:
             cached = self._get("_column_stats", key)
             if cached is not None:
                 self.counters.column_hits += 1
                 return cached
+            sketch = self._sketches.get((key[0],))
+            col = sketch.columns.get(column) if sketch is not None else None
+            if col is not None:
+                self.counters.sketch_hits += 1
+                self._put("_column_stats", key, col.moments)
+                return col.moments
             self.counters.column_misses += 1
             with PROFILER.timer("kernel.column_summary"):
                 stats = summarize(table.column(column).numeric_values())
@@ -424,56 +459,6 @@ class StatsCache:
         with self._lock:
             return sum(len(getattr(self, name)) for name in self._STORES)
 
-
-@dataclass
-class TieredStatsCache(StatsCache):
-    """A :class:`StatsCache` with a sketch tier underneath the exact one.
-
-    A :class:`~repro.stats.sketches.TableSketch` per table (built by
-    :meth:`ensure_sketch`, typically at registration) answers per-query
-    component scoring from its shared reservoir sample — in O(sample)
-    instead of O(rows) — whenever the sample is large enough that the
-    configured error bound already decides the comparison:
-
-    * :meth:`sketch_column_answer` gates on the non-missing sample count
-      inside **and** outside reaching
-      :func:`~repro.stats.sketches.required_sample` for the margin;
-    * :meth:`sketch_group_correlations` gates the same way on sampled
-      row counts.
-
-    Tables at or under ``sketch_capacity`` rows return ``None`` from both
-    (``covers_all``): the exact tier is already cheap there and stays
-    authoritative, so small-table results are bit-identical with or
-    without the tier.  Every undecided answer falls back to the exact
-    accessors and is counted in ``counters.sketch_fallbacks``.
-    """
-
-    sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
-    sketch_seed: int = DEFAULT_SKETCH_SEED
-
-    _STORES = StatsCache._STORES + ("_sketches",)
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._sketches: dict[tuple[str], TableSketch] = {}
-
-    def _config_state(self) -> dict:
-        cfg = super()._config_state()
-        cfg["sketch_capacity"] = self.sketch_capacity
-        cfg["sketch_seed"] = self.sketch_seed
-        return cfg
-
-    def _restore_config(self, cfg: dict) -> None:
-        super()._restore_config(cfg)
-        self.sketch_capacity = int(
-            cfg.get("sketch_capacity", DEFAULT_SKETCH_CAPACITY))
-        self.sketch_seed = int(cfg.get("sketch_seed", DEFAULT_SKETCH_SEED))
-
-    def _empty_clone(self) -> "TieredStatsCache":
-        return TieredStatsCache(max_inside_entries=self.max_inside_entries,
-                                sketch_capacity=self.sketch_capacity,
-                                sketch_seed=self.sketch_seed)
-
     # -- the sketch store --------------------------------------------------------
 
     def ensure_sketch(self, table: Table) -> TableSketch:
@@ -500,29 +485,6 @@ class TieredStatsCache(StatsCache):
             return self._sketches.get((fingerprint,))
 
     # -- sketch answers ----------------------------------------------------------
-
-    def global_column_stats(self, table: Table, column: str) -> SummaryStats:
-        """Whole-table summary, served from the sketch when available.
-
-        The sketch's streaming moments are exact (one full pass at build
-        time), so this is not an approximation — it just avoids a second
-        scan of the column on a cold exact store.  Served entries count
-        as ``sketch_hits``, not exact-tier traffic.
-        """
-        key = (self._key(table), column)
-        with self._lock:
-            cached = self._get("_column_stats", key)
-            if cached is not None:
-                self.counters.column_hits += 1
-                return cached
-            sketch = self._sketches.get((key[0],))
-            if sketch is not None:
-                col = sketch.columns.get(column)
-                if col is not None:
-                    self.counters.sketch_hits += 1
-                    self._put("_column_stats", key, col.moments)
-                    return col.moments
-        return super().global_column_stats(table, column)
 
     def sketch_column_answer(self, selection: Selection, column: str,
                              max_margin: float) -> tuple[
@@ -599,3 +561,9 @@ class TieredStatsCache(StatsCache):
         with self._lock:
             self.counters.sketch_hits += 1
         return corr_in, n_in, corr_out, n_out
+
+
+#: Another name for :class:`StatsCache`.  It must stay the very same
+#: class object: code that builds or patches caches through this name
+#: then reaches every cache the runtime creates.
+TieredStatsCache = StatsCache

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import abc
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Sequence
 
 from repro.errors import ReproError
 
@@ -87,7 +87,6 @@ class CharacterizationTask:
             worker.  When None the table name routes instead.
         config: the effective :class:`~repro.core.config.ZiggyConfig`
             for the run (None = the worker's default).
-        weights: component-weight overrides merged into the config.
         client_id: borrower tag for the shard's runtime ledger.
         wheres: when non-empty, the task is a **batch**: the executing
             context runs every predicate sequentially against one engine
@@ -101,7 +100,6 @@ class CharacterizationTask:
     where: str
     fingerprint: str | None = None
     config: Any = None
-    weights: Mapping = field(default_factory=dict)
     client_id: str = "default"
     wheres: tuple = ()
 

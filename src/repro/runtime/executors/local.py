@@ -78,12 +78,6 @@ class TaskContext:
         """
         with self._lock:
             table = self.database.table(task.table)
-        config = task.config
-        if config is not None and task.weights:
-            merged = dict(config.weights)
-            merged.update({str(k): float(v)
-                           for k, v in task.weights.items()})
-            config = config.with_overrides(weights=merged)
         with self.runtime.lease(table, borrower=task.client_id) as cache:
             with self._lock:
                 engine = self._engines.get(task.table)
@@ -94,11 +88,12 @@ class TaskContext:
                 engine.rebind_cache(cache)
             if not task.is_batch:
                 return engine.characterize(task.where, table=task.table,
-                                           config=config, progress=progress)
+                                           config=task.config,
+                                           progress=progress)
             results = []
             for index, where in enumerate(task.wheres):
                 result = engine.characterize(where, table=task.table,
-                                             config=config,
+                                             config=task.config,
                                              progress=progress)
                 results.append(result)
                 if progress is not None:

@@ -34,7 +34,9 @@ coordinator's ``progress`` raises
 :class:`~repro.errors.JobCancelled` (or ``handle.cancel()`` is called),
 the owning worker's listener thread flags the task and the worker aborts
 at its next stage boundary — the same cooperative granularity the local
-backends have.
+backends have.  Once a cancel has been sent, the task reports
+``cancelled`` even if the worker's ``done`` or ``failed`` crossed it on
+the wire.
 
 The pool prefers the ``fork`` start method (cheap, tables already in
 memory page-share until written) and falls back to ``spawn`` where fork
@@ -621,9 +623,14 @@ class ProcessShardExecutor(Executor):
             except BaseException:  # noqa: BLE001 - never kill the pump
                 pass
         elif handle.claim():
-            outcome = (("done", message[2], None) if tag == _DONE else
-                       ("failed", None, message[2]) if tag == _FAILED
-                       else ("cancelled", None, None))
+            # A cancel sent before this claim wins over whatever the
+            # worker reported (the outcome and the cancel crossed on the
+            # wire) — the same precedence cancel has over a retry.  No
+            # cancel can be sent after the claim.
+            outcome = (("cancelled", None, None)
+                       if tag == _CANCELLED or handle.cancel_requested else
+                       ("done", message[2], None) if tag == _DONE else
+                       ("failed", None, message[2]))
             # Claimed here, on the pump, so a death noticed right after
             # cannot retry or fail a task whose outcome already arrived.
             # The hook runs on its own thread: it may take session locks

@@ -18,6 +18,12 @@ Borrowers are tracked per fingerprint, which is how the registry can
 report **cross-client hits** — the observable evidence that sharing is
 happening (surfaced by the shared-cache benchmark and the acceptance
 tests).
+
+Registration warms a table's cache through :meth:`SharedStatsRegistry.warm`,
+which builds the table's sketch
+(:meth:`~repro.core.stats_cache.StatsCache.ensure_sketch`).  That is what
+puts registry caches on the sketch tier; a cache that never saw
+``ensure_sketch`` answers exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import threading
 from dataclasses import dataclass
 from zlib import crc32
 
-from repro.core.stats_cache import StatsCache, TieredStatsCache
+from repro.core.stats_cache import StatsCache
 from repro.engine.table import Table
 
 #: Default number of lock stripes (power of two; collisions are harmless,
@@ -95,12 +101,6 @@ class SharedStatsRegistry:
     def _shard(self, fingerprint: str) -> "_Shard":
         return self._shards[crc32(fingerprint.encode()) % len(self._shards)]
 
-    @staticmethod
-    def _make_cache() -> StatsCache:
-        """Registry-created caches are tiered: the sketch underneath is
-        what converts the warm hot path from linear to sublinear."""
-        return TieredStatsCache()
-
     # -- lookup -------------------------------------------------------------------
 
     def cache_for(self, table: Table,
@@ -122,7 +122,7 @@ class SharedStatsRegistry:
             cache = shard.caches.get(fingerprint)
             created = cache is None
             if created:
-                cache = self._make_cache()
+                cache = StatsCache()
                 shard.caches[fingerprint] = cache
                 shard.borrowers[fingerprint] = set()
             borrowers = shard.borrowers[fingerprint]
@@ -144,23 +144,24 @@ class SharedStatsRegistry:
         Registration-time plumbing: gets (or creates) the cache for the
         table, merges an optional pre-warmed ``snapshot`` first (so a
         persisted or shipped sketch short-circuits the build), then
-        ensures the sketch tier exists.  Neither the registry's
-        hit/miss/borrower accounting nor the cache's own counters move —
-        warming is infrastructure, not a client lookup, and the sharing
-        metrics the benchmarks assert on must not be polluted by it.
+        ensures the table's sketch exists — the sketch is what converts
+        the warm hot path from linear to sublinear.  Neither the
+        registry's hit/miss/borrower accounting nor the cache's own
+        counters move — warming is infrastructure, not a client lookup,
+        and the sharing metrics the benchmarks assert on must not be
+        polluted by it.
         """
         fingerprint = table.fingerprint()
         shard = self._shard(fingerprint)
         with shard.lock:
             cache = shard.caches.get(fingerprint)
             if cache is None:
-                cache = self._make_cache()
+                cache = StatsCache()
                 shard.caches[fingerprint] = cache
                 shard.borrowers[fingerprint] = set()
         if snapshot is not None:
             cache.merge_from(snapshot)
-        if isinstance(cache, TieredStatsCache):
-            cache.ensure_sketch(table)
+        cache.ensure_sketch(table)
         return cache
 
     def peek(self, fingerprint: str) -> StatsCache | None:

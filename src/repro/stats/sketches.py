@@ -2,31 +2,29 @@
 
 The preparation stage is "often the most time consuming step" (Section 3
 of the paper), and every statistic in the exact tier is linear in rows.
-This module provides the *sketch tier* underneath
-:class:`~repro.core.stats_cache.TieredStatsCache`: a set of small,
-mergeable per-column summaries built in one pass at table registration,
-from which per-query component scoring can be answered in time
-proportional to the **sketch size**, not the table size.
+This module provides the *sketch tier* of
+:class:`~repro.core.stats_cache.StatsCache`: small per-column summaries
+built in one pass at table registration, from which per-query component
+scoring can be answered in time proportional to the **sketch size**, not
+the table size.
 
-Per table the sketch holds:
+Per table the sketch holds exactly what queries read:
 
 * a deterministic uniform **reservoir sample** of row indices, shared by
   every column so sampled rows stay aligned (pairwise statistics need
-  row-consistent samples);
+  row-consistent samples), with each numeric column's values at those
+  rows;
 * exact one-pass **streaming moments** per numeric column (these make
-  whole-table summaries free at query time);
-* an equi-width **approximate histogram** per numeric column;
-* a **zone map** (block min/max) per numeric column, the classic
-  scan-pruning structure.
+  whole-table summaries free at query time).
 
-Everything here is deterministic given ``(n_rows, seed)``, picklable,
-and mergeable across disjoint row sets, so sketches ride the statistics
-cache's ``snapshot()`` / ``merge_from`` / pickle paths unchanged — shard
-warm-handoff and the persistence snapshot store carry them for free.
+Everything here is deterministic given ``(n_rows, seed)`` and picklable,
+so sketches ride the statistics cache's ``snapshot()`` / ``merge_from`` /
+pickle paths unchanged — shard warm-handoff and the persistence snapshot
+store carry them for free.
 
 Error-bound convention: the half-width of a mean estimate from ``k``
 sampled values is ``z * sd / sqrt(k)``; in standard-deviation units that
-is ``z / sqrt(k)`` (:func:`mean_margin`).  The tiered cache inverts this
+is ``z / sqrt(k)`` (:func:`mean_margin`).  The cache inverts this
 (:func:`required_sample`) to decide whether a sketch answer is decisive
 or the exact tier must run.
 """
@@ -38,17 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.stats.descriptive import SummaryStats, merge_stats, summarize
+from repro.stats.descriptive import SummaryStats, summarize
 
 #: Default reservoir capacity: tables at or under this many rows are
 #: sampled *completely*, which makes sketch answers bit-exact there.
 DEFAULT_SKETCH_CAPACITY = 4096
-
-#: Default equi-width histogram resolution per column.
-DEFAULT_HISTOGRAM_BINS = 64
-
-#: Default zone-map block size (rows per min/max block).
-DEFAULT_ZONE_BLOCK = 4096
 
 #: Default deterministic seed for the shared row reservoir.
 DEFAULT_SKETCH_SEED = 2016
@@ -72,144 +64,8 @@ def required_sample(margin: float, z: float = Z_95) -> int:
 
 
 @dataclass(frozen=True)
-class SketchEstimate:
-    """A sketch-derived scalar with its error half-width.
-
-    ``margin`` is in the same units as ``value``; ``exact`` marks
-    estimates whose sample covered the whole population (zero error).
-    """
-
-    value: float
-    margin: float
-    exact: bool = False
-
-    def decides(self, other: "SketchEstimate") -> bool:
-        """Whether the two confidence intervals are disjoint — i.e. the
-        sketch already decides which value is larger."""
-        lo_a, hi_a = self.value - self.margin, self.value + self.margin
-        lo_b, hi_b = other.value - other.margin, other.value + other.margin
-        return hi_a < lo_b or hi_b < lo_a
-
-
-@dataclass(frozen=True)
-class ZoneMap:
-    """Per-block min/max of one column — scan pruning for range predicates.
-
-    ``mins``/``maxs`` are NaN for blocks that hold only missing values.
-    """
-
-    block_size: int
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    @classmethod
-    def build(cls, values: np.ndarray,
-              block_size: int = DEFAULT_ZONE_BLOCK) -> "ZoneMap":
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        n_blocks = max(1, -(-arr.size // block_size)) if arr.size else 0
-        mins = np.full(n_blocks, np.nan)
-        maxs = np.full(n_blocks, np.nan)
-        with np.errstate(invalid="ignore"):
-            for b in range(n_blocks):
-                chunk = arr[b * block_size:(b + 1) * block_size]
-                valid = chunk[~np.isnan(chunk)]
-                if valid.size:
-                    mins[b] = valid.min()
-                    maxs[b] = valid.max()
-        return cls(block_size=int(block_size), mins=mins, maxs=maxs)
-
-    def may_contain(self, low: float, high: float) -> np.ndarray:
-        """Boolean per block: could any value fall inside ``[low, high]``?"""
-        with np.errstate(invalid="ignore"):
-            overlap = (self.maxs >= low) & (self.mins <= high)
-        return np.where(np.isnan(self.mins), False, overlap)
-
-    def merge(self, other: "ZoneMap") -> "ZoneMap":
-        """Zone map of the row concatenation (block sizes must agree)."""
-        if other.block_size != self.block_size:
-            raise ValueError("cannot merge zone maps with different block sizes")
-        return ZoneMap(block_size=self.block_size,
-                       mins=np.concatenate([self.mins, other.mins]),
-                       maxs=np.concatenate([self.maxs, other.maxs]))
-
-
-@dataclass(frozen=True)
-class ApproximateHistogram:
-    """Equi-width histogram over the non-missing values of one column."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    n_missing: int
-
-    @classmethod
-    def build(cls, values: np.ndarray,
-              bins: int = DEFAULT_HISTOGRAM_BINS) -> "ApproximateHistogram":
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        missing = np.isnan(arr)
-        data = arr[~missing]
-        if data.size == 0:
-            return cls(edges=np.array([0.0, 1.0]),
-                       counts=np.zeros(1, dtype=np.int64),
-                       n_missing=int(missing.sum()))
-        lo, hi = float(data.min()), float(data.max())
-        if lo == hi:
-            hi = lo + 1.0
-        counts, edges = np.histogram(data, bins=int(bins), range=(lo, hi))
-        return cls(edges=edges, counts=counts.astype(np.int64),
-                   n_missing=int(missing.sum()))
-
-    @property
-    def n(self) -> int:
-        """Number of non-missing values summarized."""
-        return int(self.counts.sum())
-
-    def estimate_fraction_below(self, threshold: float) -> float:
-        """Approximate ``P(value <= threshold)`` by linear interpolation
-        inside the straddling bin."""
-        total = self.n
-        if total == 0:
-            return 0.0
-        edges, counts = self.edges, self.counts
-        if threshold < edges[0]:
-            return 0.0
-        if threshold >= edges[-1]:
-            return 1.0
-        idx = int(np.searchsorted(edges, threshold, side="right") - 1)
-        idx = min(max(idx, 0), counts.size - 1)
-        below = float(counts[:idx].sum())
-        width = edges[idx + 1] - edges[idx]
-        frac = (threshold - edges[idx]) / width if width > 0 else 0.0
-        return (below + frac * float(counts[idx])) / total
-
-    def merge(self, other: "ApproximateHistogram") -> "ApproximateHistogram":
-        """Histogram of the combined samples, re-binned onto equi-width
-        edges spanning both ranges (mass assigned at bin centers —
-        approximate by design)."""
-        if self.n == 0:
-            return ApproximateHistogram(other.edges, other.counts.copy(),
-                                        self.n_missing + other.n_missing)
-        if other.n == 0:
-            return ApproximateHistogram(self.edges, self.counts.copy(),
-                                        self.n_missing + other.n_missing)
-        lo = min(float(self.edges[0]), float(other.edges[0]))
-        hi = max(float(self.edges[-1]), float(other.edges[-1]))
-        if lo == hi:
-            hi = lo + 1.0
-        bins = max(self.counts.size, other.counts.size)
-        edges = np.linspace(lo, hi, bins + 1)
-        counts = np.zeros(bins, dtype=np.int64)
-        for part in (self, other):
-            centers = (part.edges[:-1] + part.edges[1:]) / 2.0
-            idx = np.clip(np.searchsorted(edges, centers, side="right") - 1,
-                          0, bins - 1)
-            np.add.at(counts, idx, part.counts)
-        return ApproximateHistogram(edges=edges, counts=counts,
-                                    n_missing=self.n_missing + other.n_missing)
-
-
-@dataclass(frozen=True)
 class ColumnSketch:
-    """All sketch structures for one numeric column.
+    """The sketch of one numeric column.
 
     ``moments`` are **exact** (one streaming pass over the full column);
     ``sample`` holds the column's values at the table's shared reservoir
@@ -219,24 +75,6 @@ class ColumnSketch:
     name: str
     moments: SummaryStats
     sample: np.ndarray
-    histogram: ApproximateHistogram
-    zone_map: ZoneMap
-
-    def estimate_mean(self, z: float = Z_95) -> SketchEstimate:
-        """The column mean with its sampling half-width.
-
-        The moments are exact, so the value itself has no error — the
-        margin reported is the one a *sample of this size* carries, which
-        is what downstream per-query estimates (computed from sample
-        subsets) inherit.
-        """
-        sd = self.moments.std
-        sd = sd if sd == sd else 0.0
-        k = int(self.sample.size)
-        exact = k >= self.moments.total
-        margin = 0.0 if exact else mean_margin(k, z) * sd
-        return SketchEstimate(value=self.moments.mean, margin=margin,
-                              exact=exact)
 
 
 def sample_indices(n_rows: int, capacity: int,
@@ -258,8 +96,8 @@ def sample_indices(n_rows: int, capacity: int,
 class TableSketch:
     """The sketch tier for one table: shared reservoir + per-column sketches.
 
-    Keyed by the table's content fingerprint inside the tiered cache; the
-    sketch itself never references the table.
+    Keyed by the table's content fingerprint inside the statistics
+    cache; the sketch itself never references the table.
     """
 
     fingerprint: str
@@ -290,9 +128,7 @@ class TableSketch:
 
     @classmethod
     def build(cls, table, capacity: int = DEFAULT_SKETCH_CAPACITY,
-              seed: int = DEFAULT_SKETCH_SEED,
-              histogram_bins: int = DEFAULT_HISTOGRAM_BINS,
-              zone_block: int = DEFAULT_ZONE_BLOCK) -> "TableSketch":
+              seed: int = DEFAULT_SKETCH_SEED) -> "TableSketch":
         """One pass over each numeric column of a table.
 
         Build cost is O(rows x numeric columns) — paid once per table at
@@ -306,8 +142,6 @@ class TableSketch:
                 name=name,
                 moments=summarize(values),
                 sample=np.ascontiguousarray(values[rows]),
-                histogram=ApproximateHistogram.build(values, histogram_bins),
-                zone_map=ZoneMap.build(values, zone_block),
             )
         return cls(fingerprint=table.fingerprint(), n_rows=table.n_rows,
                    capacity=int(capacity), seed=int(seed),
@@ -318,76 +152,3 @@ class TableSketch:
         if not names:
             return np.empty((self.sample_size, 0), dtype=np.float64)
         return np.column_stack([self.columns[n].sample for n in names])
-
-    def merge(self, other: "TableSketch") -> "TableSketch":
-        """Sketch of the row concatenation of two disjoint tables.
-
-        Moments merge exactly (Chan et al.); the combined reservoir is
-        re-thinned to capacity deterministically; histograms re-bin and
-        zone maps concatenate.  The merged sketch carries a synthetic
-        fingerprint — callers re-key it under the concatenated table's
-        real fingerprint when they have one.
-        """
-        if set(self.columns) != set(other.columns):
-            raise ValueError("cannot merge sketches with different columns")
-        if other.capacity != self.capacity:
-            raise ValueError("cannot merge sketches with different capacities")
-        n_rows = self.n_rows + other.n_rows
-        rows = np.concatenate([self.row_indices,
-                               other.row_indices + self.n_rows])
-        keep = np.arange(rows.size, dtype=np.int64)
-        if rows.size > self.capacity:
-            # Deterministic thinning: both sides are uniform over their own
-            # tables, so a uniform pick over the union stays uniform.
-            rng = np.random.default_rng([int(self.seed), int(n_rows)])
-            keep = np.sort(rng.choice(rows.size, size=self.capacity,
-                                      replace=False).astype(np.int64))
-        columns: dict[str, ColumnSketch] = {}
-        for name, col in self.columns.items():
-            oth = other.columns[name]
-            sample = np.concatenate([col.sample, oth.sample])[keep]
-            columns[name] = ColumnSketch(
-                name=name,
-                moments=merge_stats(col.moments, oth.moments),
-                sample=sample,
-                histogram=col.histogram.merge(oth.histogram),
-                zone_map=col.zone_map.merge(oth.zone_map),
-            )
-        return TableSketch(
-            fingerprint=f"{self.fingerprint}+{other.fingerprint}",
-            n_rows=n_rows, capacity=self.capacity, seed=self.seed,
-            row_indices=rows[keep], columns=columns)
-
-
-def estimate_summary(sample: SummaryStats, population_total: int,
-                     population: SummaryStats | None = None) -> SummaryStats:
-    """Scale a sample summary up to a known population size.
-
-    The moment *sums* (``m2``..``m4``) scale linearly with the count;
-    means and rates carry over.  When the exact ``population`` summary is
-    given, the estimated missing count is clamped so the result stays a
-    valid subtrahend for ``population.subtract`` (never more missing than
-    the population has, never fewer than the population forces).
-    """
-    if sample.total == 0 or population_total <= sample.total:
-        return sample
-    est_missing = int(round(population_total * sample.missing_rate))
-    if population is not None:
-        lo = max(0, population_total - population.n)
-        hi = min(population.n_missing, population_total)
-        est_missing = min(max(est_missing, lo), hi)
-    est_n = population_total - est_missing
-    if sample.n == 0 or est_n <= 0:
-        return SummaryStats(0, population_total, float("nan"),
-                            0.0, 0.0, 0.0, float("nan"), float("nan"))
-    scale = est_n / sample.n
-    return SummaryStats(
-        n=est_n,
-        n_missing=est_missing,
-        mean=sample.mean,
-        m2=sample.m2 * scale,
-        m3=sample.m3 * scale,
-        m4=sample.m4 * scale,
-        minimum=sample.minimum,
-        maximum=sample.maximum,
-    )

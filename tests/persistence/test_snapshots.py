@@ -5,6 +5,9 @@ import os
 
 from repro.core.stats_cache import StatsCache
 from repro.persistence.snapshots import SnapshotStore
+from repro.runtime import ZiggyRuntime
+from repro.service import CharacterizeRequest, ZiggyService
+from repro.stats import sketches
 
 
 def warmed_cache(table) -> StatsCache:
@@ -16,6 +19,22 @@ def warmed_cache(table) -> StatsCache:
 
 def make_store(tmp_path) -> SnapshotStore:
     return SnapshotStore(str(tmp_path / "snapshots"))
+
+
+def save_blob_naming_a_missing_class(store, table) -> str:
+    """Save a framed, CRC-valid blob whose pickle names a class that no
+    longer exists — what a blob looks like after an upgrade deleted a
+    class it pickled.  The class lives in ``repro.stats.sketches`` only
+    while the blob is written."""
+    retired = type("RetiredSketchPart", (), {"__module__": sketches.__name__})
+    cache = warmed_cache(table)
+    cache.ensure_sketch(table).columns["retired"] = retired()
+    sketches.RetiredSketchPart = retired
+    try:
+        assert store.save(table.fingerprint(), cache)
+    finally:
+        del sketches.RetiredSketchPart
+    return table.fingerprint()
 
 
 class TestSaveLoad:
@@ -114,6 +133,37 @@ class TestTrust:
         with open(path, "r+b") as fh:
             fh.truncate(size // 2)
         assert store.load(fingerprint) is None
+
+
+class TestUpgrade:
+    """Blobs written before an upgrade that deleted a class they pickle
+    cost one cold start, never a failed boot."""
+
+    def test_blob_naming_a_missing_class_is_dropped(self, tmp_path,
+                                                    boxoffice_small):
+        store = make_store(tmp_path)
+        fingerprint = save_blob_naming_a_missing_class(store,
+                                                       boxoffice_small)
+        assert store.load(fingerprint) is None
+        assert store.counters.corrupt == 1
+
+    def test_service_answers_and_rewrites_the_blob(self, tmp_path,
+                                                   boxoffice_small):
+        state_dir = str(tmp_path / "state")
+        store = SnapshotStore(os.path.join(state_dir, "snapshots"))
+        fingerprint = save_blob_naming_a_missing_class(store,
+                                                       boxoffice_small)
+        service = ZiggyService(executor="inline", state_dir=state_dir,
+                               snapshot_interval=0, runtime=ZiggyRuntime())
+        try:
+            service.register_table(boxoffice_small)
+            assert service.state.snapshots.counters.corrupt == 1
+            response = service.characterize(CharacterizeRequest(
+                where="gross > 200000000", table=boxoffice_small.name))
+            assert response.n_views > 0
+        finally:
+            service.shutdown()  # the drain-time pass rewrites the blob
+        assert SnapshotStore(store.root).load(fingerprint) is not None
 
 
 class TestStartupHygiene:

@@ -319,8 +319,7 @@ class TestProcessShardExecutor:
             executor.close()
 
     def test_cancel_mid_run_stops_at_stage_boundary(self):
-        # A wide table (128 columns), so the search phase is long enough
-        # that the cancel message reliably overtakes the run.
+        # A wide table (128 columns): many stage boundaries to stop at.
         from repro.data.crime import make_crime
         wide = make_crime(n_rows=1994)
         executor = ProcessShardExecutor(workers=1)
@@ -328,12 +327,14 @@ class TestProcessShardExecutor:
             executor.register_table(wide)
             calls = Collector()
             first_event = threading.Event()
-            cancelled = threading.Event()
+            cancel_issued = threading.Event()
 
             def progress(stage, payload):
                 calls.events.append((stage, payload))
                 first_event.set()
-                if cancelled.is_set():
+                # Gate: the first event holds the pump until the cancel
+                # is issued, so the run cannot finish before it lands.
+                if cancel_issued.wait(60):
                     raise JobCancelled("task")
 
             handle = executor.submit(
@@ -341,11 +342,44 @@ class TestProcessShardExecutor:
                                      where="violent_crime_rate > 0.14",
                                      fingerprint=wide.fingerprint()),
                 begin=calls.begin, progress=progress, finish=calls.finish)
-            assert first_event.wait(60)
-            cancelled.set()
-            handle.cancel()
+            try:
+                assert first_event.wait(60)
+                handle.cancel()
+            finally:
+                cancel_issued.set()
             status = calls.wait(60)[0]
             assert status == "cancelled"
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("outcome", ["done", "failed"])
+    def test_sent_cancel_wins_over_crossing_outcome(self, table, task,
+                                                    outcome):
+        # The worker's outcome can cross the cancel on the wire.  Hold
+        # the pump in ``begin``, send the cancel, then hand the pump the
+        # worker's outcome before anything else: the job still reports
+        # cancelled.
+        executor = ProcessShardExecutor(workers=1)
+        try:
+            executor.register_table(table)
+            calls = Collector()
+            began = threading.Event()
+            release = threading.Event()
+
+            def begin():
+                began.set()
+                release.wait(60)
+
+            handle = executor.submit(task, begin=begin,
+                                     progress=calls.progress,
+                                     finish=calls.finish)
+            try:
+                assert began.wait(60)
+                handle.cancel()
+                executor._dispatch((outcome, handle.task_id, None))
+            finally:
+                release.set()
+            assert calls.wait(60) == ("cancelled", None, None)
         finally:
             executor.close()
 

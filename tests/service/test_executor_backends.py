@@ -24,8 +24,7 @@ BACKENDS = ("thread", "process")
 
 @pytest.fixture(scope="module")
 def crime_table():
-    # 128 columns: characterizations take long enough that a cancel
-    # issued after the first stage event lands well before completion.
+    # 128 columns: a characterization long enough to stream many events.
     return make_crime(n_rows=1994)
 
 
@@ -44,15 +43,46 @@ def service(request, crime_table):
 
 
 @pytest.fixture(params=BACKENDS, scope="module")
-def http(request, crime_table):
+def served(request, crime_table):
+    """A service behind the async gateway, and a client for it."""
     svc = make_service(request.param, crime_table)
     server = make_async_server(svc, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield ZiggyClient(f"http://{host}:{port}", timeout=60)
+    yield svc, ZiggyClient(f"http://{host}:{port}", timeout=60)
     server.close(wait=False)
     thread.join(timeout=10)
+
+
+@pytest.fixture
+def http(served):
+    return served[1]
+
+
+class CancelGate:
+    """Holds a job at its first progress event until the test has issued
+    the cancel, so the job cannot finish before the cancel lands.
+
+    The hook runs where the backend relays progress: on the job's worker
+    thread (thread backend) or on the shard pump (process backend).
+    Either way nothing the job reports after its first event is handled
+    before :meth:`release`.
+    """
+
+    def __init__(self):
+        self.first_event = threading.Event()
+        self.released = threading.Event()
+
+    def on_progress(self, stage, payload):
+        self.first_event.set()
+        self.released.wait(60)
+
+    def wait_first_event(self):
+        assert self.first_event.wait(60), "no stage event before timeout"
+
+    def release(self):
+        self.released.set()
 
 
 class TestJobsAcrossBackends:
@@ -92,13 +122,16 @@ class TestJobsAcrossBackends:
         assert ready[0].data["explanation"]
 
     def test_cancel_mid_stage(self, service):
-        first_event = threading.Event()
+        gate = CancelGate()
         snapshot = service.submit(
             CharacterizeRequest(where="violent_crime_rate > 0.2",
                                 client_id=f"cancel-{service.executor.kind}"),
-            on_progress=lambda stage, payload: first_event.set())
-        assert first_event.wait(60), "no stage event before timeout"
-        service.cancel(snapshot.job_id)
+            on_progress=gate.on_progress)
+        try:
+            gate.wait_first_event()
+            service.cancel(snapshot.job_id)
+        finally:
+            gate.release()
         final = service.wait(snapshot.job_id, timeout=120)
         assert final.status == "cancelled"
         # the event log stops at the cancellation point; no result event
@@ -133,13 +166,28 @@ class TestHttpAcrossBackends:
         assert kinds[-1] == "done"
         assert http.job(job.job_id).status == "done"
 
-    def test_sse_cancel_mid_stream(self, http):
-        job = http.submit("violent_crime_rate > 0.2")
-        kinds = []
-        for event in http.stream_events(job.job_id):
-            kinds.append(event.kind)
-            if len(kinds) == 1 and event.kind != "done":
-                http.cancel(job.job_id)
+    def test_sse_cancel_mid_stream(self, served, monkeypatch):
+        svc, http = served
+        gate = CancelGate()
+        submit = svc.jobs.submit
+
+        def gated_submit(*args, on_progress=None, **kwargs):
+            assert on_progress is None  # an HTTP job has no caller hook
+            return submit(*args, on_progress=gate.on_progress, **kwargs)
+
+        # HTTP-submitted jobs get the gate as their progress hook.
+        monkeypatch.setattr(svc.jobs, "submit", gated_submit)
+        try:
+            job = http.submit("violent_crime_rate > 0.2")
+            kinds = []
+            for event in http.stream_events(job.job_id):
+                kinds.append(event.kind)
+                if len(kinds) == 1:
+                    assert event.kind != "done"
+                    http.cancel(job.job_id)
+                    gate.release()
+        finally:
+            gate.release()
         assert kinds[-1] == "done"
         assert http.job(job.job_id).status == "cancelled"
 

@@ -1,4 +1,4 @@
-"""Tests for the sketch-tier structures (reservoir, histogram, zone map)."""
+"""Tests for the sketch-tier structures (reservoir, streaming moments)."""
 
 import pickle
 
@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from repro.engine.table import Table
-from repro.stats.descriptive import merge_stats, summarize
+from repro.stats.descriptive import summarize
 from repro.stats.sketches import (
-    ApproximateHistogram,
-    SketchEstimate,
     TableSketch,
-    ZoneMap,
-    estimate_summary,
     mean_margin,
     required_sample,
     sample_indices,
@@ -43,13 +39,6 @@ class TestErrorBounds:
     def test_nonpositive_margin_unobtainable(self):
         assert required_sample(0.0) > 10**15
 
-    def test_estimate_decides(self):
-        a = SketchEstimate(1.0, 0.1)
-        b = SketchEstimate(2.0, 0.1)
-        c = SketchEstimate(1.15, 0.1)
-        assert a.decides(b) and b.decides(a)
-        assert not a.decides(c)
-
 
 class TestSampleIndices:
     def test_small_table_covered_completely(self):
@@ -67,69 +56,6 @@ class TestSampleIndices:
         a = sample_indices(100_000, capacity=1000, seed=7)
         b = sample_indices(100_000, capacity=1000, seed=8)
         assert not np.array_equal(a, b)
-
-
-class TestZoneMap:
-    def test_blocks_bound_values(self):
-        values = np.arange(1000, dtype=float)
-        zm = ZoneMap.build(values, block_size=100)
-        assert zm.mins.size == 10
-        assert zm.mins[3] == 300.0 and zm.maxs[3] == 399.0
-
-    def test_may_contain_prunes(self):
-        values = np.arange(1000, dtype=float)
-        zm = ZoneMap.build(values, block_size=100)
-        hit = zm.may_contain(250, 260)
-        assert hit[2] and not hit[0] and not hit[9]
-
-    def test_all_nan_block_never_contains(self):
-        values = np.concatenate([np.full(100, np.nan), np.arange(100.0)])
-        zm = ZoneMap.build(values, block_size=100)
-        assert not zm.may_contain(-np.inf, np.inf)[0]
-        assert zm.may_contain(-np.inf, np.inf)[1]
-
-    def test_merge_concatenates(self):
-        a = ZoneMap.build(np.arange(100.0), block_size=50)
-        b = ZoneMap.build(np.arange(100.0, 200.0), block_size=50)
-        merged = a.merge(b)
-        assert merged.mins.size == 4
-        assert merged.maxs[-1] == 199.0
-        with pytest.raises(ValueError):
-            a.merge(ZoneMap.build(np.arange(10.0), block_size=10))
-
-
-class TestApproximateHistogram:
-    def test_counts_and_missing(self):
-        values = np.concatenate([np.arange(100.0), [np.nan] * 5])
-        h = ApproximateHistogram.build(values, bins=10)
-        assert h.n == 100
-        assert h.n_missing == 5
-
-    def test_fraction_below_uniform(self):
-        h = ApproximateHistogram.build(np.arange(10_000, dtype=float), bins=64)
-        assert h.estimate_fraction_below(-1) == 0.0
-        assert h.estimate_fraction_below(1e9) == 1.0
-        assert abs(h.estimate_fraction_below(2500.0) - 0.25) < 0.02
-
-    def test_constant_column(self):
-        h = ApproximateHistogram.build(np.full(50, 3.0))
-        assert h.n == 50
-        assert h.estimate_fraction_below(3.0) <= 1.0
-
-    def test_merge_preserves_mass(self):
-        a = ApproximateHistogram.build(np.arange(100.0), bins=16)
-        b = ApproximateHistogram.build(np.arange(200.0, 300.0), bins=16)
-        merged = a.merge(b)
-        assert merged.n == 200
-        assert merged.n_missing == 0
-        assert abs(merged.estimate_fraction_below(150.0) - 0.5) < 0.05
-
-    def test_merge_with_empty(self):
-        empty = ApproximateHistogram.build(np.array([np.nan, np.nan]))
-        full = ApproximateHistogram.build(np.arange(10.0))
-        merged = empty.merge(full)
-        assert merged.n == 10
-        assert merged.n_missing == 2
 
 
 class TestTableSketch:
@@ -168,76 +94,9 @@ class TestTableSketch:
         assert mat.shape == (256, 2)
         assert np.array_equal(mat[:, 1], sketch.columns["b"].sample)
 
-    def test_estimate_mean_margin(self):
-        table = make_table(50_000)
-        sketch = TableSketch.build(table, capacity=1024)
-        est = sketch.columns["a"].estimate_mean()
-        assert not est.exact
-        assert est.margin > 0
-        assert abs(est.value) < est.margin  # true mean is 0
-
-    def test_estimate_mean_exact_when_covered(self):
-        sketch = TableSketch.build(make_table(100))
-        est = sketch.columns["a"].estimate_mean()
-        assert est.exact and est.margin == 0.0
-
     def test_pickle_round_trip(self):
         sketch = TableSketch.build(make_table(5000), capacity=512)
         clone = pickle.loads(pickle.dumps(sketch))
         assert clone.fingerprint == sketch.fingerprint
         assert np.array_equal(clone.row_indices, sketch.row_indices)
         assert clone.columns["a"].moments == sketch.columns["a"].moments
-
-    def test_merge_moments_exact(self):
-        t1, t2 = make_table(3000, seed=1), make_table(2000, seed=2)
-        s1 = TableSketch.build(t1, capacity=512)
-        s2 = TableSketch.build(t2, capacity=512)
-        merged = s1.merge(s2)
-        assert merged.n_rows == 5000
-        assert merged.sample_size == 512
-        both = np.concatenate([t1.column("a").numeric_values(),
-                               t2.column("a").numeric_values()])
-        expected = summarize(both)
-        got = merged.columns["a"].moments
-        assert got.n == expected.n
-        assert got.mean == pytest.approx(expected.mean)
-        assert got.m2 == pytest.approx(expected.m2)
-
-    def test_merge_small_tables_keeps_everything(self):
-        s1 = TableSketch.build(make_table(100, seed=1), capacity=4096)
-        s2 = TableSketch.build(make_table(50, seed=2), capacity=4096)
-        merged = s1.merge(s2)
-        assert merged.covers_all
-        assert merged.sample_size == 150
-
-    def test_merge_rejects_mismatched(self):
-        s1 = TableSketch.build(make_table(100), capacity=512)
-        s2 = TableSketch.build(make_table(100), capacity=256)
-        with pytest.raises(ValueError):
-            s1.merge(s2)
-
-
-class TestEstimateSummary:
-    def test_scales_counts_not_moments_per_obs(self):
-        values = np.random.default_rng(0).normal(size=400)
-        sample = summarize(values)
-        scaled = estimate_summary(sample, population_total=4000)
-        assert scaled.total == 4000
-        assert scaled.mean == sample.mean
-        assert scaled.variance == pytest.approx(sample.m2 * 10 / (scaled.n - 1))
-
-    def test_no_op_when_population_not_larger(self):
-        sample = summarize(np.arange(10.0))
-        assert estimate_summary(sample, population_total=10) is sample
-
-    def test_missing_clamped_to_population(self):
-        rng = np.random.default_rng(1)
-        values = np.where(rng.random(500) < 0.5, np.nan, rng.normal(size=500))
-        sample = summarize(values)
-        population = summarize(
-            np.where(rng.random(5000) < 0.01, np.nan, rng.normal(size=5000)))
-        scaled = estimate_summary(sample, 2000, population=population)
-        # never claims more missing rows than the exact population has
-        assert scaled.n_missing <= population.n_missing
-        subtracted = population.subtract(scaled)
-        assert subtracted.n >= 0 and subtracted.n_missing >= 0
