@@ -33,6 +33,7 @@ import sys
 import threading
 import time
 
+from repro.core.events import StageEvent
 from repro.data.boxoffice import make_boxoffice
 from repro.gateway import GatewayPolicy, make_async_server
 from repro.runtime import ZiggyRuntime
@@ -70,8 +71,9 @@ class ServedGateway:
             if gate is not None:
                 gate.wait(timeout=120)
             for i in range(n_events):
-                progress("note", {"i": i, "t": time.perf_counter(),
-                                  "pad": payload_pad})
+                progress(StageEvent("note", {"i": i,
+                                             "t": time.perf_counter(),
+                                             "pad": payload_pad}))
             return "ok"
 
         return self.service.jobs.submit(

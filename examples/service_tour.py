@@ -33,7 +33,7 @@ print(f"\nbatch: {len(batch.results)} predicates in "
 streamed = []
 job = service.submit(
     CharacterizeRequest(where="budget > 50000000", client_id="jobs"),
-    on_progress=lambda stage, payload: streamed.append(stage))
+    on_progress=lambda event: streamed.append(event.kind))
 final = service.wait(job.job_id, timeout=60)
 print(f"\njob {final.job_id}: {final.status}, "
       f"{len(final.partial_views)} views streamed, "

@@ -25,14 +25,13 @@ from repro.service.protocol import (
     ViewPageRequest,
     component_to_dict,
     error_code_for,
-    json_safe,
     view_to_dict,
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime (app <-> service cycle)
     from repro.service.service import ZiggyService
 
-__all__ = ["ZiggyApi", "component_to_dict", "view_to_dict", "_json_safe"]
+__all__ = ["ZiggyApi", "component_to_dict", "view_to_dict"]
 
 #: The client ID the adapter parks its session under in the service.
 V1_CLIENT_ID = "v1"
@@ -40,12 +39,6 @@ V1_CLIENT_ID = "v1"
 #: The v1 action vocabulary (advertised on unknown actions).
 V1_ACTIONS = ("list_tables", "query", "views", "view_detail", "dendrogram",
               "set_weights", "set_option")
-
-
-def _json_safe(value):
-    """Recursively JSON-safe conversion (kept under the old name for
-    backward compatibility; now handles nested containers too)."""
-    return json_safe(value)
 
 
 class ZiggyApi:

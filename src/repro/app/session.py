@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.app.render import view_card
 from repro.core.config import ZiggyConfig
+from repro.core.events import BATCH_ITEM, EmitFn, StageEvent
 from repro.core.pipeline import Ziggy
 from repro.core.views import CharacterizationResult, ViewResult
 from repro.engine.database import Database, Selection
@@ -102,53 +103,48 @@ class ZiggySession:
     # -- the query box -----------------------------------------------------------------
 
     def run(self, where: str, table: str | None = None,
-            progress=None, emit=None) -> CharacterizationResult:
+            emit: EmitFn | None = None) -> CharacterizationResult:
         """Execute a predicate and characterize its selection.
 
-        ``progress`` is an optional
-        :data:`~repro.core.pipeline.ProgressCallback`; ``emit`` receives
-        the typed :class:`~repro.core.events.StageEvent` stream.  Both are
-        threaded through to the engine (per-view streaming, cooperative
-        cancellation).  The table is leased from the runtime for the
-        duration, so store eviction never interrupts the run.
+        ``emit`` receives the :class:`~repro.core.events.StageEvent`
+        stream; it is threaded through to the engine (per-view
+        streaming, cooperative cancellation).  The table is leased from
+        the runtime for the duration, so store eviction never interrupts
+        the run.
         """
         table_name = self.resolve_table(table)
         selection = self.database.select(table_name, where)
-        return self._characterize(selection, table_name, where,
-                                  progress=progress, emit=emit)
+        return self._characterize(selection, table_name, where, emit=emit)
 
     def run_many(self, wheres: list[str] | tuple[str, ...],
                  table: str | None = None,
-                 progress=None, emit=None) -> list[CharacterizationResult]:
+                 emit: EmitFn | None = None) -> list[CharacterizationResult]:
         """Characterize a batch of predicates against one table.
 
         All predicates share one engine (and therefore one statistics
-        cache); each result is appended to the session history.
+        cache); each result is appended to the session history, and a
+        ``batch-item`` event with ``(index, result)`` follows each
+        predicate's events.
         """
-        from repro.core.events import BATCH_ITEM, StageEvent
-
         table_name = self.resolve_table(table)
         results: list[CharacterizationResult] = []
         for index, where in enumerate(wheres):
-            result = self.run(where, table=table_name, progress=progress,
-                              emit=emit)
+            result = self.run(where, table=table_name, emit=emit)
             results.append(result)
             if emit is not None:
                 emit(StageEvent(BATCH_ITEM, (index, result)))
-            if progress is not None:
-                progress("batch_item", (index, result))
         return results
 
-    def run_sql(self, sql: str, progress=None,
-                emit=None) -> CharacterizationResult:
+    def run_sql(self, sql: str,
+                emit: EmitFn | None = None) -> CharacterizationResult:
         """Execute a full SELECT and characterize its WHERE clause."""
         selection = self.database.selection_for_query(sql)
         return self._characterize(selection, selection.table.name, sql,
-                                  progress=progress, emit=emit)
+                                  emit=emit)
 
     def _characterize(self, selection: Selection, table_name: str,
-                      query_text: str, progress=None,
-                      emit=None) -> CharacterizationResult:
+                      query_text: str,
+                      emit: EmitFn | None = None) -> CharacterizationResult:
         """The shared core of :meth:`run` and :meth:`run_sql`: lease the
         table, converge the engine onto the registry's current cache,
         execute, record history."""
@@ -161,7 +157,7 @@ class ZiggySession:
             if engine.cache is not cache:
                 engine.rebind_cache(cache)
             result = engine.characterize_selection(
-                selection, config=self.config, progress=progress, emit=emit)
+                selection, config=self.config, emit=emit)
         self.record(SessionEntry(
             query_text=query_text, table_name=table_name, result=result,
             selection=selection))
@@ -231,9 +227,6 @@ class ZiggySession:
             f"session has {len(names)} tables; pass table=... "
             f"(available: {', '.join(names)})")
 
-    # backward-compatible alias
-    _resolve_table = resolve_table
-
     def engine_for(self, table_name: str, table: Table | None = None) -> Ziggy:
         """The (lazily created) engine bound to one table.
 
@@ -252,6 +245,3 @@ class ZiggySession:
             engine = Ziggy(self.database, config=self.config, cache=cache)
             self._engines[table_name] = engine
         return engine
-
-    # backward-compatible alias
-    _engine_for = engine_for

@@ -18,7 +18,7 @@ Subpackages implement the three pipeline stages of Figure 4:
 """
 
 from repro.core.config import ZiggyConfig
-from repro.core.events import STAGE_KINDS, StageEvent, legacy_stage
+from repro.core.events import STAGE_KINDS, StageEvent
 from repro.core.views import View, ComponentScore, ViewResult, CharacterizationResult
 from repro.core.pipeline import CharacterizationPlan, PlanExecutor, Ziggy
 
@@ -33,5 +33,4 @@ __all__ = [
     "PlanExecutor",
     "StageEvent",
     "STAGE_KINDS",
-    "legacy_stage",
 ]

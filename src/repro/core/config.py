@@ -86,11 +86,6 @@ class ZiggyConfig:
         mi_bins: bins per axis for the NMI dependency estimator.
         explanation_components: how many top components each explanation
             verbalizes.
-        sample_rows: when set and the table is larger, preparation runs
-            on a stratified row sample of this size (selection and
-            complement sampled proportionally, deterministic seed) — the
-            BlinkDB-style speed/accuracy trade-off the paper's
-            introduction cites.  None (default) = exact.
         sketch_margin: the decisiveness bound for sketch answers — the
             largest acceptable half-width of a sketched mean in
             standard-deviation units (``1.96 / sqrt(k)`` for ``k``
@@ -101,8 +96,9 @@ class ZiggyConfig:
             falls back to the exact scan.  Tables no larger than the
             sketch capacity are always exact (the sketch covers every
             row there, so there is nothing to approximate).
-        random_seed: seed for any subsampled estimator (Cliff's delta,
-            row sampling).
+        random_seed: seed for subsampled estimators; no built-in
+            estimator reads it (Cliff's delta subsamples with a fixed
+            seed of its own).
     """
 
     max_view_dim: int = 2
@@ -124,7 +120,6 @@ class ZiggyConfig:
     score_mode: str = "mean"
     mi_bins: int = 8
     explanation_components: int = 3
-    sample_rows: int | None = None
     sketch_margin: float = 0.1
     random_seed: int = 7
 
@@ -171,11 +166,6 @@ class ZiggyConfig:
         if not 0.0 < self.sketch_margin <= 1.0:
             raise ConfigError(
                 f"sketch_margin must be in (0, 1], got {self.sketch_margin}")
-        if self.sample_rows is not None and \
-                self.sample_rows < 4 * self.min_group_size:
-            raise ConfigError(
-                f"sample_rows must be at least 4 * min_group_size "
-                f"(= {4 * self.min_group_size}), got {self.sample_rows}")
         for name, w in self.weights.items():
             if w < 0:
                 raise ConfigError(

@@ -18,11 +18,12 @@ kind                payload
                     predicate
 ==================  =========================================================
 
-The legacy progress-callback protocol (``progress(stage, payload)``,
-introduced with the service layer) is preserved as a *projection* of this
-stream: :func:`legacy_stage` maps each event kind onto the stage string
-the old callbacks expect, so existing consumers (the job manager's
-partial-view capture, cooperative cancellation) keep working unchanged.
+These events are the one event form from the pipeline to the wire: the
+executor backends relay them, the job manager logs them under their
+kind, and the service streams them to clients as SSE events named by
+the same kinds.  Every in-process hook — ``emit`` on the engine and the
+session, ``progress`` on an executor submission, ``on_progress`` on a
+job — receives the :class:`StageEvent` itself.
 """
 
 from __future__ import annotations
@@ -59,21 +60,6 @@ class StageEvent:
 
 #: Signature of a typed event consumer.
 EmitFn = Callable[[StageEvent], None]
-
-#: Event kind -> legacy progress-callback stage name.  Kinds absent here
-#: pass through under their own name (new consumers only).
-_LEGACY_STAGE_FOR = {
-    PREPARED: "preparation",
-    VIEW_RANKED: "view",
-    SEARCH_COMPLETE: "search",
-    RESULT: "result",
-    BATCH_ITEM: "batch_item",
-}
-
-
-def legacy_stage(kind: str) -> str:
-    """The legacy ``progress(stage, payload)`` stage name for a kind."""
-    return _LEGACY_STAGE_FOR.get(kind, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,18 @@ happens, and :class:`PlanExecutor` carries the plan through the stages
 while emitting typed :class:`~repro.core.events.StageEvent`\\ s —
 ``prepared``, ``component-scored``, ``view-ranked`` (one per view, the
 progressive-results stream), ``search-complete``, ``view-ready`` (one per
-validated view) and ``result``.  Front-ends that stream (the service's
-``/v2/jobs/<id>/events`` endpoint) consume the events; everything else
-just takes the returned :class:`CharacterizationResult`.
+validated view) and ``result``.  Callers that want the events pass one
+``emit`` hook; the service's executors, job log and
+``/v2/jobs/<id>/events`` stream carry the same events under the same
+kinds.  Everything else just takes the returned
+:class:`CharacterizationResult`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.components.base import ComponentRegistry, default_registry
 from repro.core.config import ZiggyConfig
@@ -40,7 +42,6 @@ from repro.core.events import (
     VIEW_READY,
     EmitFn,
     StageEvent,
-    legacy_stage,
 )
 from repro.core.explain.generator import ExplanationGenerator
 from repro.core.preparation import PreparationEngine, PreparedData
@@ -51,19 +52,6 @@ from repro.core.stats_cache import StatsCache
 from repro.core.views import CharacterizationResult
 from repro.engine.database import Database, Selection
 from repro.engine.table import Table
-
-#: Legacy progress-callback signature: ``progress(stage, payload)``.  The
-#: stages are the :func:`~repro.core.events.legacy_stage` projection of
-#: the typed event stream — ``"preparation"`` (:class:`PreparedData`),
-#: ``"component-scored"`` (the catalog), ``"view"`` (one
-#: :class:`ViewResult` per ranked view), ``"search"``
-#: (:class:`SearchOutput`), ``"view-ready"`` (``(rank, ViewResult)``) and
-#: ``"result"`` (:class:`CharacterizationResult`).  Batch runs
-#: additionally emit ``"batch_item"`` with ``(index, result)`` after each
-#: predicate.  The callback runs synchronously on the pipeline thread; an
-#: exception it raises aborts the characterization (this is how the
-#: service layer implements cooperative cancellation).
-ProgressCallback = Callable[[str, object], None]
 
 
 @dataclass(frozen=True)
@@ -138,10 +126,9 @@ class PlanExecutor:
     """Carries a :class:`CharacterizationPlan` through the three stages.
 
     Args:
-        preparation: the preparation engine to run stage one with; it
-            holds the per-engine sample memo, while the statistics cache
-            comes from each plan (so one executor can serve plans bound
-            to different shared caches).
+        preparation: the preparation engine to run stage one with; the
+            statistics cache comes from each plan (so one executor can
+            serve plans bound to different shared caches).
     """
 
     def __init__(self, preparation: PreparationEngine | None = None):
@@ -216,21 +203,6 @@ class PlanExecutor:
         if emit is not None:
             emit(StageEvent(RESULT, result))
         return result
-
-
-def _bridge(progress: ProgressCallback | None,
-            emit: EmitFn | None) -> EmitFn | None:
-    """Fan one event stream out to the typed and the legacy consumer."""
-    if progress is None and emit is None:
-        return None
-
-    def _emit(event: StageEvent) -> None:
-        if emit is not None:
-            emit(event)
-        if progress is not None:
-            progress(legacy_stage(event.kind), event.payload)
-
-    return _emit
 
 
 class Ziggy:
@@ -312,21 +284,18 @@ class Ziggy:
         )
 
     def execute(self, plan: CharacterizationPlan,
-                progress: ProgressCallback | None = None,
                 emit: EmitFn | None = None) -> CharacterizationResult:
         """Run a plan through this engine's executor.
 
-        ``emit`` receives the typed :class:`StageEvent` stream;
-        ``progress`` receives its legacy ``(stage, payload)`` projection.
-        Either callback may raise to abort the run (cancellation).
+        ``emit`` receives the typed :class:`StageEvent` stream and may
+        raise to abort the run (cancellation).
         """
-        return self._executor.execute(plan, emit=_bridge(progress, emit))
+        return self._executor.execute(plan, emit=emit)
 
     # -- public API -----------------------------------------------------------
 
     def characterize(self, where: str | None, table: str | None = None,
                      config: ZiggyConfig | None = None,
-                     progress: ProgressCallback | None = None,
                      emit: EmitFn | None = None
                      ) -> CharacterizationResult:
         """Characterize the selection defined by a predicate.
@@ -337,30 +306,27 @@ class Ziggy:
                 have a complement).
             table: table name; optional when the source holds one table.
             config: per-call config override.
-            progress: optional :data:`ProgressCallback` receiving staged
-                events, including one ``"view"`` event per ranked view.
-            emit: optional typed :class:`StageEvent` consumer.
+            emit: optional :class:`StageEvent` consumer, receiving one
+                ``view-ranked`` event per ranked view among the others.
 
         Returns:
             The ranked, validated, explained views plus stage timings.
         """
         return self.execute(self.plan(where, table=table, config=config),
-                            progress=progress, emit=emit)
+                            emit=emit)
 
     def characterize_query(self, sql: str,
                            config: ZiggyConfig | None = None,
-                           progress: ProgressCallback | None = None,
                            emit: EmitFn | None = None
                            ) -> CharacterizationResult:
         """Characterize a full SELECT statement's WHERE clause."""
         selection = self.database.selection_for_query(sql)
         return self.characterize_selection(selection, config=config,
-                                           progress=progress, emit=emit)
+                                           emit=emit)
 
     def characterize_many(self, wheres: Sequence[str],
                           table: str | None = None,
                           config: ZiggyConfig | None = None,
-                          progress: ProgressCallback | None = None,
                           emit: EmitFn | None = None
                           ) -> list[CharacterizationResult]:
         """Characterize several predicates against one table in one call.
@@ -371,34 +337,30 @@ class Ziggy:
         the cache for every subsequent predicate — the paper's
         computation-sharing strategy applied across a batch.
 
-        Emits a ``batch-item`` event (legacy stage ``"batch_item"``) with
-        ``(index, result)`` after each predicate, in addition to the
-        per-query events.
+        Emits a ``batch-item`` event with ``(index, result)`` after each
+        predicate, in addition to the per-query events.
         """
-        bridged = _bridge(progress, emit)
         results: list[CharacterizationResult] = []
         for index, where in enumerate(wheres):
             result = self.characterize(where, table=table, config=config,
-                                       progress=progress, emit=emit)
+                                       emit=emit)
             results.append(result)
-            if bridged is not None:
-                bridged(StageEvent(BATCH_ITEM, (index, result)))
+            if emit is not None:
+                emit(StageEvent(BATCH_ITEM, (index, result)))
         return results
 
     def characterize_selection(self, selection: Selection,
                                config: ZiggyConfig | None = None,
-                               progress: ProgressCallback | None = None,
                                emit: EmitFn | None = None
                                ) -> CharacterizationResult:
         """Characterize an explicit :class:`Selection` (the core path).
 
-        ``progress``/``emit`` receive staged events (see
-        :data:`ProgressCallback` and :class:`StageEvent`); raising from a
-        callback aborts the run, which is how callers implement
-        cancellation of long searches.
+        ``emit`` receives the :class:`StageEvent` stream; raising from it
+        aborts the run, which is how callers implement cancellation of
+        long searches.
         """
         return self.execute(self.plan_selection(selection, config=config),
-                            progress=progress, emit=emit)
+                            emit=emit)
 
     # -- introspection -----------------------------------------------------------
 

@@ -91,7 +91,6 @@ class PreparationEngine:
                  cache: StatsCache | None = None):
         self.registry = registry if registry is not None else default_registry()
         self.cache = cache
-        self._sample_memo: dict[tuple, tuple] = {}
 
     # -- public entry ------------------------------------------------------------
 
@@ -111,12 +110,6 @@ class PreparationEngine:
             registry = self.registry
         notes: list[str] = []
         self._check_group_sizes(selection, config)
-        if (config.sample_rows is not None
-                and selection.table.n_rows > config.sample_rows):
-            selection = self._sampled_selection(selection, config)
-            notes.append(f"preparation ran on a stratified sample of "
-                         f"{selection.table.n_rows} rows "
-                         f"({selection.n_inside} inside)")
         columns = self._active_columns(selection, config, notes)
         slices = self._build_column_slices(selection, columns, cache, config,
                                            notes)
@@ -137,46 +130,6 @@ class PreparationEngine:
         )
 
     # -- steps ----------------------------------------------------------------------
-
-    def _sampled_selection(self, selection: Selection,
-                           config: ZiggyConfig) -> Selection:
-        """Stratified row sample: both groups kept proportionally, each
-        at least ``min_group_size`` rows.  The sampled base table is
-        memoized per (table, budget, seed) so cross-query sharing keeps
-        working on the sampled rows."""
-        table = selection.table
-        n = table.n_rows
-        budget = int(config.sample_rows)  # validated non-None by caller
-        frac = budget / n
-        inside_idx = np.flatnonzero(selection.mask)
-        outside_idx = np.flatnonzero(~selection.mask)
-        rng = np.random.default_rng(config.random_seed)
-        k_in = min(inside_idx.size,
-                   max(int(round(inside_idx.size * frac)),
-                       config.min_group_size))
-        k_out = min(outside_idx.size,
-                    max(budget - k_in, config.min_group_size))
-        take_in = rng.choice(inside_idx, size=k_in, replace=False)
-        take_out = rng.choice(outside_idx, size=k_out, replace=False)
-        rows = np.sort(np.concatenate([take_in, take_out]))
-        # Keyed by content fingerprint, not id(): object identity can be
-        # recycled after a table is collected, and the memo must never
-        # serve another table's sample.
-        key = (table.fingerprint(), budget, config.random_seed,
-               selection.fingerprint)
-        cached = self._sample_memo.get(key)
-        if cached is None:
-            sampled_table = table.take(rows, name=f"{table.name}/sample")
-            cached = (sampled_table, rows)
-            self._sample_memo[key] = cached
-        sampled_table, rows = cached
-        sampled_mask = selection.mask[rows]
-        return Selection(
-            table=sampled_table,
-            mask=sampled_mask,
-            predicate=selection.predicate,
-            fingerprint=f"{selection.fingerprint}/s{budget}",
-        )
 
     @staticmethod
     def _check_group_sizes(selection: Selection, config: ZiggyConfig) -> None:

@@ -39,7 +39,6 @@ class Table:
         self._index: dict[str, int] = {c.name: i for i, c in enumerate(columns)}
         self._n_rows = lengths.pop() if lengths else 0
         self._fingerprint: str | None = None
-        self._matrix_memo: dict[tuple[str, ...], np.ndarray] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -171,49 +170,20 @@ class Table:
         return tuple(c.name for c in self._columns
                      if c.ctype is ColumnType.CATEGORICAL)
 
-    #: Column-stacked matrices memoized per column tuple (see
-    #: :meth:`numeric_matrix`).  Small on purpose: the hot path asks for
-    #: the same one or two projections per table over and over.
-    _MATRIX_MEMO_ENTRIES = 8
-
     def numeric_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
-        """Float64 matrix (rows x selected numeric columns).
+        """Float64 matrix (rows x selected numeric columns), stacked on
+        each call.
 
-        The stacked result is memoized per column tuple — tables are
-        immutable, and re-stacking an n x M matrix on every query was a
-        measurable share of the warm path.  Callers must not mutate the
-        returned array (consistent with the engine's copy-on-write
-        column sharing); row-subsetting via fancy indexing copies, which
-        is what every current caller does.
+        Not memoized: table-derived data belongs in the
+        :class:`~repro.core.stats_cache.StatsCache`, whose byte budget
+        counts it.
         """
         if names is None:
             names = self.numeric_column_names()
-        key = tuple(names)
-        cached = self._matrix_memo.get(key)
-        if cached is not None:
-            return cached
-        arrays = [self.column(n).numeric_values() for n in key]
+        arrays = [self.column(n).numeric_values() for n in names]
         if not arrays:
             return np.empty((self._n_rows, 0), dtype=np.float64)
-        mat = np.column_stack(arrays)
-        if len(self._matrix_memo) >= self._MATRIX_MEMO_ENTRIES:
-            self._matrix_memo.pop(next(iter(self._matrix_memo)))
-        self._matrix_memo[key] = mat
-        return mat
-
-    def __getstate__(self) -> dict:
-        """Pickle without the matrix memo (pure derived data — shipping
-        it would double the payload of every table that crossed a
-        process boundary)."""
-        state = dict(self.__dict__)
-        state["_matrix_memo"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Tables pickled by older revisions predate the memo.
-        if "_matrix_memo" not in self.__dict__:
-            self._matrix_memo = {}
+        return np.column_stack(arrays)
 
     # -- row operations -------------------------------------------------------
 

@@ -27,12 +27,13 @@ The three callbacks a submission carries define the lifecycle contract:
     :class:`~repro.errors.JobCancelled` to veto a job that was cancelled
     while queued (the backend then reports a ``cancelled`` outcome
     without running the work).
-``progress(stage, payload)``
-    invoked in the *submitting* process for every stage event, in order;
-    raising :class:`JobCancelled` from it requests cooperative
-    cancellation (local backends abort the work at that point; the
-    process backend relays a cancel message to the owning shard, which
-    aborts at its next stage boundary).
+``progress(event)``
+    invoked in the *submitting* process with every
+    :class:`~repro.core.events.StageEvent`, in order; raising
+    :class:`JobCancelled` from it requests cooperative cancellation
+    (local backends abort the work at that point; the process backend
+    relays a cancel message to the owning shard, which aborts at its
+    next stage boundary).
 ``finish(status, result, error)``
     invoked exactly once with the terminal outcome: ``("done", result,
     None)``, ``("failed", None, exc)`` or ``("cancelled", None, None)``.
@@ -45,16 +46,14 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Sequence
 
+from repro.core.events import EmitFn
 from repro.errors import ReproError
 
 #: Terminal outcome statuses a backend can report.
 OUTCOME_STATUSES = ("done", "failed", "cancelled")
 
-#: ``progress(stage, payload)`` — the legacy-stage event relay.
-ProgressFn = Callable[[str, Any], None]
-
 #: ``work(progress) -> result`` — an in-process work function.
-WorkFn = Callable[[ProgressFn], Any]
+WorkFn = Callable[[EmitFn], Any]
 
 #: ``finish(status, result, error)`` — the terminal outcome callback.
 FinishFn = Callable[[str, Any, "BaseException | None"], None]
@@ -90,7 +89,7 @@ class CharacterizationTask:
         client_id: borrower tag for the shard's runtime ledger.
         wheres: when non-empty, the task is a **batch**: the executing
             context runs every predicate sequentially against one engine
-            (one warm statistics cache), emits a ``batch_item`` event
+            (one warm statistics cache), emits a ``batch-item`` event
             per predicate, and the result is the *list* of
             characterization results in predicate order.  ``where`` is
             ignored for a batch task.
@@ -232,7 +231,7 @@ class Executor(abc.ABC):
     @abc.abstractmethod
     def submit(self, work: WorkFn | CharacterizationTask, *,
                begin: Callable[[], None],
-               progress: ProgressFn,
+               progress: EmitFn,
                finish: FinishFn) -> ExecutionHandle:
         """Run ``work`` somewhere; report through the three callbacks."""
 

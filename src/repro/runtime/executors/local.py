@@ -5,7 +5,8 @@ as well as :class:`CharacterizationTask`s.  Tasks are executed through a
 :class:`TaskContext` — a private catalog + runtime + per-table engines —
 which is exactly the state a process shard owns remotely; keeping the
 code path identical means every backend produces the same results and
-the same event stream, differing only in *where* the work runs.
+the same :class:`~repro.core.events.StageEvent` stream, differing only
+in *where* the work runs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
+from repro.core.events import EmitFn
 from repro.core.pipeline import Ziggy
 from repro.engine.database import Database
 from repro.errors import JobCancelled
@@ -24,7 +26,6 @@ from repro.runtime.executors.base import (
     ExecutionHandle,
     Executor,
     FinishFn,
-    ProgressFn,
     WorkFn,
 )
 
@@ -63,17 +64,18 @@ class TaskContext:
             return self.database.table_names()
 
     def run(self, task: CharacterizationTask,
-            progress: ProgressFn | None = None):
+            progress: EmitFn | None = None):
         """Execute one task; returns the CharacterizationResult.
 
-        Events flow through ``progress`` in their legacy ``(stage,
-        payload)`` form — the same stream a local closure produces — so
-        the job manager's bookkeeping cannot tell the backends apart.
+        ``progress`` receives the engine's
+        :class:`~repro.core.events.StageEvent` stream — the same stream a
+        local closure produces — so the job manager's bookkeeping cannot
+        tell the backends apart.
 
         A batch task (``task.wheres``) runs every predicate against one
         engine — one warm statistics cache, exactly like
         :meth:`~repro.app.session.ZiggySession.run_many` — emitting a
-        ``batch_item`` event per predicate and returning the *list* of
+        ``batch-item`` event per predicate and returning the *list* of
         results in predicate order.
         """
         with self._lock:
@@ -88,21 +90,13 @@ class TaskContext:
                 engine.rebind_cache(cache)
             if not task.is_batch:
                 return engine.characterize(task.where, table=task.table,
-                                           config=task.config,
-                                           progress=progress)
-            results = []
-            for index, where in enumerate(task.wheres):
-                result = engine.characterize(where, table=task.table,
-                                             config=task.config,
-                                             progress=progress)
-                results.append(result)
-                if progress is not None:
-                    progress("batch_item", (index, result))
-            return results
+                                           config=task.config, emit=progress)
+            return engine.characterize_many(task.wheres, table=task.table,
+                                            config=task.config, emit=progress)
 
 
 def run_unit(work: WorkFn | CharacterizationTask, context: TaskContext,
-             progress: ProgressFn) -> object:
+             progress: EmitFn) -> object:
     """Run either work form through one code path."""
     if callable(work):
         return work(progress)
@@ -110,7 +104,7 @@ def run_unit(work: WorkFn | CharacterizationTask, context: TaskContext,
 
 
 def execute_and_finish(work, context: TaskContext, *,
-                       begin, progress: ProgressFn,
+                       begin, progress: EmitFn,
                        finish: FinishFn) -> None:
     """The shared outcome protocol of the local backends."""
     try:

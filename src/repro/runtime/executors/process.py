@@ -17,13 +17,13 @@ Sharding rule — the whole point of the layout:
   happens per shard instead of per process.
 
 Event relay: workers execute through the same task path as the local
-backends, compact each stage event
+backends, compact each :class:`~repro.core.events.StageEvent`
 (:func:`~repro.core.events.compact_event`) and send it down the
 worker's **own** result pipe; a pump thread in the coordinating process
 waits on every pipe at once and replays the events into the
-submission's ``progress`` callback — in order, with the legacy stage
-names — so the job event log, partial-view capture and SSE streaming
-are byte-identical to a thread-backend run.  One pipe per worker (not
+submission's ``progress`` callback — in order, under the same kinds —
+so the job event log, partial-view capture and SSE streaming are
+byte-identical to a thread-backend run.  One pipe per worker (not
 one queue shared by all) is what makes a SIGKILL survivable: a worker
 killed mid-write takes only its own pipe down, where a shared queue's
 cross-process write lock would stay held by the dead writer and block
@@ -50,7 +50,7 @@ liveness check hands the dead shard to a respawn thread, which starts a
 replacement process, replays the shard's table registrations with fresh
 :meth:`~repro.core.stats_cache.StatsCache.snapshot` warm-cache
 snapshots, and re-enqueues the shard's in-flight tasks — each retried
-task first emits a ``worker-restart`` stage event through its
+task first emits a ``worker-restart`` :class:`StageEvent` through its
 ``progress`` relay, so job event logs and SSE streams observe the
 recovery.  Two bounds keep this honest: ``max_restarts`` caps how often
 one shard may be respawned (exhausting it fails the shard's jobs with
@@ -73,7 +73,7 @@ import time
 from multiprocessing.connection import wait as wait_for_ready
 from typing import Any, Callable
 
-from repro.core.events import StageEvent, compact_event, legacy_stage
+from repro.core.events import EmitFn, StageEvent, compact_event
 from repro.core.stats_cache import StatsCache
 from repro.errors import JobCancelled
 from repro.runtime.runtime import DEFAULT_MAX_BYTES, DEFAULT_MAX_TABLES
@@ -83,7 +83,6 @@ from repro.runtime.executors.base import (
     Executor,
     ExecutorError,
     FinishFn,
-    ProgressFn,
     WorkerError,
     shard_index,
 )
@@ -95,9 +94,9 @@ _STARTED, _EVENT, _DONE, _FAILED, _CANCELLED = (
 #: Registration-failure tag (keyed by table, not task).
 _REGISTER_FAILED = "register-failed"
 
-#: The stage name a retried task's recovery event carries (flows through
-#: the ordinary progress relay, so job event logs and SSE streams see it
-#: as a ``worker-restart`` event between the stages of the two attempts).
+#: The kind of a retried task's recovery event (flows through the
+#: ordinary progress relay, so job event logs and SSE streams see it as a
+#: ``worker-restart`` event between the stages of the two attempts).
 WORKER_RESTART_STAGE = "worker-restart"
 
 #: How often one shard may be respawned before it is declared dead.
@@ -159,8 +158,9 @@ def _worker_main(worker_id: int, tasks, control, results,
             with flag_lock:
                 cancelled.add(message)
 
-    threading.Thread(target=listen, daemon=True,
-                     name=f"ziggy-shard-{worker_id}-ctl").start()
+    listener = threading.Thread(target=listen, daemon=True,
+                                name=f"ziggy-shard-{worker_id}-ctl")
+    listener.start()
 
     # The coordinator's pid as recorded when it created this process: an
     # ``os.getppid()`` read here would race a coordinator that dies
@@ -188,6 +188,9 @@ def _worker_main(worker_id: int, tasks, control, results,
         message = tasks.get()
         if message is None:
             control.put(None)  # release the listener thread
+            # Wait for it: exiting at once lets the exit finalizer close
+            # the control pipe while the listener is still reading it.
+            listener.join(timeout=5.0)
             return
         op = message[0]
         if op == "register":
@@ -210,14 +213,11 @@ def _worker_main(worker_id: int, tasks, control, results,
                 continue
         report((_STARTED, task_id))
 
-        def progress(stage: str, payload: Any,
-                     _task_id: int = task_id) -> None:
+        def progress(event: StageEvent, _task_id: int = task_id) -> None:
             with flag_lock:
                 if _task_id in cancelled:
                     raise JobCancelled(str(_task_id))
-            event = compact_event(StageEvent(_stage_kind(stage), payload))
-            report((_EVENT, _task_id, legacy_stage(event.kind),
-                    event.payload))
+            report((_EVENT, _task_id, compact_event(event)))
 
         try:
             result = context.run(task, progress=progress)
@@ -236,27 +236,13 @@ def _worker_main(worker_id: int, tasks, control, results,
             cancelled.discard(task_id)
 
 
-#: legacy stage name -> typed event kind (inverse of ``legacy_stage``,
-#: for the compaction step; unknown names pass through).
-_KIND_FOR_STAGE = {
-    "preparation": "prepared",
-    "view": "view-ranked",
-    "search": "search-complete",
-    "batch_item": "batch-item",
-}
-
-
-def _stage_kind(stage: str) -> str:
-    return _KIND_FOR_STAGE.get(stage, stage)
-
-
 class _ProcessHandle(ExecutionHandle):
     """Coordinator-side record of one task in flight on a shard."""
 
     def __init__(self, executor: "ProcessShardExecutor", task_id: int,
                  worker_index: int, task: CharacterizationTask,
                  begin: Callable[[], None],
-                 progress: ProgressFn, finish: FinishFn):
+                 progress: EmitFn, finish: FinishFn):
         self.task_id = task_id
         self.worker_index = worker_index
         #: Kept for re-enqueueing after a worker respawn.
@@ -615,9 +601,8 @@ class ProcessShardExecutor(Executor):
             except BaseException:  # noqa: BLE001 - never kill the pump
                 self._send_cancel(handle)
         elif tag == _EVENT:
-            _, _, stage, payload = message
             try:
-                handle.progress(stage, payload)
+                handle.progress(message[2])
             except JobCancelled:
                 self._send_cancel(handle)
             except BaseException:  # noqa: BLE001 - never kill the pump
@@ -790,13 +775,13 @@ class ProcessShardExecutor(Executor):
             handle.finish("cancelled", None, None)
             return False
         try:
-            handle.progress(WORKER_RESTART_STAGE, {
+            handle.progress(StageEvent(WORKER_RESTART_STAGE, {
                 "worker": handle.worker_index,
                 "restart": restart_no,
                 "attempt": handle.attempts + 1,
                 "max_retries": self.max_retries,
                 "exitcode": exitcode,
-            })
+            }))
         except JobCancelled:
             with self._lock:
                 self._pending.pop(handle.task_id, None)

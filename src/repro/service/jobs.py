@@ -14,21 +14,22 @@ owns the lifecycle bookkeeping; the backend owns the where and how.
 
 Work arrives either as an in-process callable ``work(progress)`` or as
 a serializable :class:`~repro.runtime.executors.CharacterizationTask`
-(the only form a process backend accepts).  Either way the progress
-stream is identical: cancellation is cooperative — when a job has been
-cancelled, the next ``progress`` call raises :class:`JobCancelled`, and
-the backend aborts the work at that stage boundary (local backends
-immediately, process shards at the worker's next event).  A job that is
-still ``pending`` when cancelled never starts.
+(the only form a process backend accepts).  Either way ``progress``
+receives the same :class:`~repro.core.events.StageEvent` stream:
+cancellation is cooperative — when a job has been cancelled, the next
+``progress`` call raises :class:`JobCancelled`, and the backend aborts
+the work at that stage boundary (local backends immediately, process
+shards at the worker's next event).  A job that is still ``pending``
+when cancelled never starts.
 
-Progress events with stage ``"view"`` are captured as the job's partial
-results, so pollers can render views while the search is still running.
-A ``"worker-restart"`` event (emitted by the self-healing process
-backend when a job's worker died and the task was re-enqueued) resets
-the partial capture: the retry re-streams its views from rank one.
-Every progress event is additionally recorded in the job's **event log**
-(a monotonically numbered ``(seq, stage, payload)`` list) and announced
-on a condition variable, so streaming consumers — the service's
+``view-ranked`` events are captured as the job's partial results, so
+pollers can render views while the search is still running.  A
+``worker-restart`` event (emitted by the self-healing process backend
+when a job's worker died and the task was re-enqueued) resets the
+partial capture: the retry re-streams its views from rank one.  Every
+event is additionally recorded in the job's **event log** (a
+monotonically numbered ``(seq, kind, item)`` list) and announced on a
+condition variable, so streaming consumers — the service's
 ``/v2/jobs/<id>/events`` endpoint — can block in :meth:`events_since`
 and relay events as they happen instead of polling snapshots.
 
@@ -59,6 +60,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.events import VIEW_RANKED, EmitFn, StageEvent
 from repro.errors import JobCancelled, JobNotFoundError
 from repro.persistence.journal import (
     event_record,
@@ -67,12 +69,14 @@ from repro.persistence.journal import (
     submit_record,
 )
 from repro.runtime.executors import (
+    WORKER_RESTART_STAGE,
     CharacterizationTask,
     ExecutionHandle,
     Executor,
     ExecutorError,
     ThreadExecutor,
 )
+from repro.runtime.executors.base import WorkFn
 
 #: Valid job states.
 JOB_STATES = ("pending", "running", "done", "failed", "cancelled",
@@ -80,9 +84,6 @@ JOB_STATES = ("pending", "running", "done", "failed", "cancelled",
 
 #: States from which a job can never move again.
 TERMINAL_STATES = ("done", "failed", "cancelled", "interrupted")
-
-ProgressFn = Callable[[str, Any], None]
-WorkFn = Callable[[ProgressFn], Any]
 
 #: Default retention: how many terminal jobs stay queryable.
 DEFAULT_MAX_FINISHED = 256
@@ -93,8 +94,8 @@ DEFAULT_MAX_FINISHED = 256
 _WAIT_SLICE_SECONDS = 1.0
 
 
-def _wire_event(stage: str, item: Any) -> "tuple[str, Any]":
-    """A stored event-log item as ``(kind, JSON-able data)``.
+def _wire_data(item: Any) -> Any:
+    """A stored event-log item's JSON-able data (the log holds its kind).
 
     Service jobs store typed wire events (``kind``/``data`` attributes)
     whose data is JSON-able by construction — those pass through
@@ -103,13 +104,12 @@ def _wire_event(stage: str, item: Any) -> "tuple[str, Any]":
     which journal as their JSON-safe projection; anything that still
     slips through lands on the append's stripped-down fallback record.
     """
-    kind = getattr(item, "kind", None)
     data = getattr(item, "data", None)
-    if kind is not None and data is not None:
-        return kind, data
+    if getattr(item, "kind", None) is not None and data is not None:
+        return data
     from repro.service.protocol import json_safe
 
-    return kind or stage, json_safe(data if data is not None else item)
+    return json_safe(data if data is not None else item)
 
 
 def _wire_result(result: Any) -> Any:
@@ -196,12 +196,12 @@ class Job:
         """Whether the job reached a terminal state."""
         return self.status in TERMINAL_STATES
 
-    def record_event(self, stage: str, payload: Any,
+    def record_event(self, kind: str, payload: Any,
                      mapper: "Callable[[int, str, Any], Any] | None" = None
                      ) -> "tuple[int, Any]":
         """Append one numbered event and wake streaming consumers.
 
-        ``mapper(seq, stage, payload)`` transforms the payload before it
+        ``mapper(seq, kind, payload)`` transforms the payload before it
         is stored — the service passes its wire serializer here, so the
         event log holds small JSON-able summaries instead of raw pipeline
         artifacts (which would pin per-query slices and tables for the
@@ -215,8 +215,8 @@ class Job:
             # skipped on replay), and a duplicate seq would make the
             # next restart's fold silently replace the real event.
             seq = (self.events[-1][0] + 1) if self.events else 1
-            item = payload if mapper is None else mapper(seq, stage, payload)
-            self.events.append((seq, stage, item))
+            item = payload if mapper is None else mapper(seq, kind, payload)
+            self.events.append((seq, kind, item))
             self.wake()
         return seq, item
 
@@ -286,7 +286,7 @@ class JobManager:
     # -- lifecycle ---------------------------------------------------------------
 
     def submit(self, work: WorkFn | None = None,
-               on_progress: ProgressFn | None = None,
+               on_progress: EmitFn | None = None,
                event_mapper: Callable[[int, str, Any], Any] | None = None,
                *, task: CharacterizationTask | None = None,
                result_mapper: Callable[[Any], Any] | None = None,
@@ -295,14 +295,15 @@ class JobManager:
         """Queue work on the backend and return its job ID.
 
         ``work`` is an in-process callable invoked with a progress
-        function it must call between units of work; ``task`` is the
-        serializable equivalent for backends that cross a process
-        boundary.  Callers may pass either or both — the manager picks
-        the form its backend supports (callable preferred locally).
+        function it must call with a :class:`StageEvent` between units
+        of work; ``task`` is the serializable equivalent for backends
+        that cross a process boundary.  Callers may pass either or both
+        — the manager picks the form its backend supports (callable
+        preferred locally).
 
-        ``on_progress`` additionally forwards every event to the caller
-        (e.g. a streaming HTTP response); ``event_mapper`` transforms
-        payloads before they enter the job's event log (see
+        ``on_progress`` additionally receives every event, after it
+        entered the job's event log; ``event_mapper`` transforms
+        payloads before they enter the log (see
         :meth:`Job.record_event`); ``result_mapper`` post-processes a
         successful result *before* it is stored on the job (the service
         uses it to turn a worker shard's raw pipeline result into a wire
@@ -407,24 +408,24 @@ class JobManager:
         if digits.isdigit():
             self._next_id = max(self._next_id, int(digits) + 1)
 
-    def _progress_fn(self, job: Job, on_progress: ProgressFn | None,
+    def _progress_fn(self, job: Job, on_progress: EmitFn | None,
                      event_mapper: Callable[[int, str, Any], Any] | None
-                     ) -> ProgressFn:
+                     ) -> EmitFn:
         """The per-job progress callback: cancellation checks, partial
         capture, event log, caller relay — identical for every backend."""
 
-        def progress(stage: str, payload: Any) -> None:
+        def progress(event: StageEvent) -> None:
             if job.cancel_event.is_set():
                 raise JobCancelled(job.job_id)
-            if stage == "view":
+            kind, payload = event.kind, event.payload
+            if kind == VIEW_RANKED:
                 with job.lock:
                     job.partial.append(payload)
                     rank = len(job.partial)
                 # Record the keep-order rank with the view, so event
                 # consumers never rescan the log to reconstruct it.
-                seq, item = job.record_event(stage, (rank, payload),
-                                             event_mapper)
-            elif stage == "worker-restart":
+                payload = (rank, payload)
+            elif kind == WORKER_RESTART_STAGE:
                 # The job's worker died and the task re-executes from
                 # scratch on a respawned shard: drop the aborted
                 # attempt's partial views so the retry's stream rebuilds
@@ -432,12 +433,10 @@ class JobManager:
                 # history, restart marker included).
                 with job.lock:
                     job.partial.clear()
-                seq, item = job.record_event(stage, payload, event_mapper)
-            else:
-                seq, item = job.record_event(stage, payload, event_mapper)
-            self._journal_event(job, seq, stage, item)
+            seq, item = job.record_event(kind, payload, event_mapper)
+            self._journal_event(job, seq, kind, item)
             if on_progress is not None:
-                on_progress(stage, payload)
+                on_progress(event)
             # Re-check after the caller's hook: a cancel that arrived while
             # the hook ran (or blocked) must not be lost until the next event.
             if job.cancel_event.is_set():
@@ -491,11 +490,11 @@ class JobManager:
         with self._journal_lock:
             return self._journal.compact(self.journal_records())
 
-    def _journal_event(self, job: Job, seq: int, stage: str,
+    def _journal_event(self, job: Job, seq: int, kind: str,
                        item: Any) -> None:
         if self._journal is None:
             return
-        kind, data = _wire_event(stage, item)
+        data = _wire_data(item)
         self._append_journal(
             event_record(job.job_id, seq, kind, data),
             fallback=event_record(job.job_id, seq, kind,
@@ -568,7 +567,7 @@ class JobManager:
         self._journal_terminal(job)
         return job
 
-    def record_external_event(self, job_id: str, stage: str, payload: Any,
+    def record_external_event(self, job_id: str, kind: str, payload: Any,
                               event_mapper: Callable[[int, str, Any], Any]
                               | None = None) -> int:
         """Append one out-of-band event to a job's log (journaled).
@@ -577,8 +576,8 @@ class JobManager:
         resumed jobs; returns the event's sequence number.
         """
         job = self.get(job_id)
-        seq, item = job.record_event(stage, payload, event_mapper)
-        self._journal_event(job, seq, stage, item)
+        seq, item = job.record_event(kind, payload, event_mapper)
+        self._journal_event(job, seq, kind, item)
         return seq
 
     def journal_records(self) -> "list[dict]":
@@ -596,9 +595,9 @@ class JobManager:
                 error = job.error
                 timings = job.timings_ms()
             records.append(submit_record(job.job_id, payload))
-            for seq, stage, item in events:
-                kind, data = _wire_event(stage, item)
-                records.append(event_record(job.job_id, seq, kind, data))
+            for seq, kind, item in events:
+                records.append(event_record(job.job_id, seq, kind,
+                                            _wire_data(item)))
             if status in TERMINAL_STATES:
                 records.append(state_record(
                     job.job_id, status, result=_wire_result(result),

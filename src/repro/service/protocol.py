@@ -112,8 +112,7 @@ def error_code_for(exc: BaseException) -> str:
 def json_safe(value: Any) -> Any:
     """Recursively convert ``value`` into something ``json.dumps`` accepts.
 
-    Non-finite floats become ``None`` (at any nesting depth — the fix for
-    the v1 ``_json_safe`` that only looked at top-level scalars), numpy
+    Non-finite floats become ``None`` at any nesting depth, numpy
     scalars become native Python numbers, numpy arrays and tuples become
     lists, and dict keys are stringified.
     """
@@ -869,18 +868,8 @@ class JobEvent:
                    data=dict(payload.get("data") or {}))
 
 
-#: Legacy progress-stage name -> wire event kind (identity for the
-#: already-typed kinds the pipeline forwards through the job log).
-_WIRE_KIND_FOR_STAGE = {
-    "preparation": "prepared",
-    "view": "view-ranked",
-    "search": "search-complete",
-    "batch_item": "batch-item",
-}
-
-
-def job_event_from_stage(seq: int, stage: str, payload: Any) -> JobEvent:
-    """Serialize one recorded job progress event for the wire.
+def job_event_from_stage(seq: int, kind: str, payload: Any) -> JobEvent:
+    """Serialize one recorded job event for the wire, under its kind.
 
     The payloads are pipeline-internal objects; each kind maps to a small
     JSON-able summary (duck-typed so the protocol stays import-light).
@@ -888,7 +877,6 @@ def job_event_from_stage(seq: int, stage: str, payload: Any) -> JobEvent:
     stamps the keep-order rank on streamed views, the pipeline stamps the
     final rank on ready views.
     """
-    kind = _WIRE_KIND_FOR_STAGE.get(stage, stage)
     data: dict[str, Any]
     if kind in ("view-ranked", "view-ready") and isinstance(payload, tuple) \
             and len(payload) == 2 and isinstance(payload[1], ViewResult):

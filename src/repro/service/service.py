@@ -29,6 +29,7 @@ from typing import Any, Callable, Mapping
 
 from repro.app.session import HISTORY_LIMIT, SessionEntry, ZiggySession
 from repro.core.config import ZiggyConfig
+from repro.core.events import BATCH_ITEM, EmitFn, StageEvent
 from repro.core.profiling import PROFILER
 from repro.core.views import CharacterizationResult
 from repro.engine.database import Database
@@ -243,7 +244,7 @@ class ZiggyService:
         return TableList(tables=tuple(infos))
 
     def characterize(self, request: CharacterizeRequest,
-                     progress: Callable[[str, Any], None] | None = None
+                     progress: EmitFn | None = None
                      ) -> CharacterizeResponse:
         """Run one characterization synchronously **through the
         configured executor backend**.
@@ -265,7 +266,7 @@ class ZiggyService:
                                   result_mapper=result_mapper)
 
     def _characterize_local(self, request: CharacterizeRequest,
-                            progress: Callable[[str, Any], None] | None = None
+                            progress: EmitFn | None = None
                             ) -> CharacterizeResponse:
         """The in-process session path (what local backends execute)."""
         session = self.session(request.client_id)
@@ -273,13 +274,13 @@ class ZiggyService:
             self._apply_overrides(session, request.weights, request.options)
             table_name = session.resolve_table(request.table)
             result = session.run(request.where, table=table_name,
-                                 progress=progress)
+                                 emit=progress)
         return CharacterizeResponse.from_result(
             result, table=table_name,
             page=request.page, page_size=request.page_size)
 
     def _execute_sync(self, unit, *,
-                      progress: Callable[[str, Any], None] | None = None,
+                      progress: EmitFn | None = None,
                       result_mapper: Callable[[Any], Any] | None = None):
         """Run one unit of work on the backend and block for its outcome.
 
@@ -290,9 +291,9 @@ class ZiggyService:
         outcome: dict[str, Any] = {}
         done = threading.Event()
 
-        def relay(stage: str, payload: Any) -> None:
+        def relay(event: StageEvent) -> None:
             if progress is not None:
-                progress(stage, payload)
+                progress(event)
 
         def finish(status: str, result: Any,
                    error: BaseException | None) -> None:
@@ -310,7 +311,7 @@ class ZiggyService:
         return result_mapper(result) if result_mapper is not None else result
 
     def characterize_many(self, request: BatchRequest,
-                          progress: Callable[[str, Any], None] | None = None
+                          progress: EmitFn | None = None
                           ) -> BatchResponse:
         """Run a batch through the shard-aware batch scheduler.
 
@@ -373,7 +374,7 @@ class ZiggyService:
                                  if cache is not None else 0)
                 group_results = session.run_many(
                     group.wheres, table=group.table,
-                    progress=self._group_progress(group, progress))
+                    emit=self._group_progress(group, progress))
                 for local, result in enumerate(group_results):
                     results[group.indices[local]] = result
                 kept = session.history[-min(len(group.wheres),
@@ -449,23 +450,23 @@ class ZiggyService:
         return results
 
     @staticmethod
-    def _group_progress(group: "BatchGroup", progress):
-        """Remap a group's ``batch_item`` indices to batch positions."""
+    def _group_progress(group: "BatchGroup", progress: EmitFn | None
+                        ) -> EmitFn | None:
+        """Remap a group's ``batch-item`` indices to batch positions."""
         if progress is None:
             return None
 
-        def relay(stage: str, payload: Any) -> None:
-            if stage == "batch_item" and isinstance(payload, tuple) \
-                    and len(payload) == 2:
-                local, result = payload
-                progress(stage, (group.indices[int(local)], result))
-            else:
-                progress(stage, payload)
+        def relay(event: StageEvent) -> None:
+            if event.kind == BATCH_ITEM:
+                local, result = event.payload
+                event = StageEvent(BATCH_ITEM,
+                                   (group.indices[int(local)], result))
+            progress(event)
 
         return relay
 
     def submit(self, request: JobSubmitRequest | CharacterizeRequest,
-               on_progress: Callable[[str, Any], None] | None = None
+               on_progress: EmitFn | None = None
                ) -> JobSnapshot:
         """Queue a characterization as an asynchronous job.
 
@@ -486,7 +487,7 @@ class ZiggyService:
         return self._snapshot(self.jobs.get(job_id))
 
     def _submit_request(self, inner: CharacterizeRequest,
-                        on_progress: Callable[[str, Any], None] | None = None,
+                        on_progress: EmitFn | None = None,
                         job_id: str | None = None) -> str:
         """Queue one characterize request as a job (fresh or resumed).
 
@@ -644,7 +645,7 @@ class ZiggyService:
                                                timeout=timeout)
         # Payloads were serialized at record time (see submit), so this
         # is a plain unwrap.
-        return [event for _seq, _stage, event in raw], finished
+        return [event for _seq, _kind, event in raw], finished
 
     def watch_job(self, job_id: str, callback: Callable[[], None]
                   ) -> Callable[[], None]:

@@ -1,83 +1,12 @@
-"""Tests for the extension features: row sampling and shape components."""
+"""Tests for the extension features: shape components."""
 
 import numpy as np
-import pytest
 
 from repro.core.components.base import ColumnSlice
 from repro.core.components.shape import SkewShiftComponent
 from repro.core.config import ZiggyConfig
 from repro.core.pipeline import Ziggy
 from repro.engine.table import Table
-from repro.errors import ConfigError
-
-
-@pytest.fixture
-def big_table(rng):
-    n = 20_000
-    driver = rng.normal(size=n)
-    factor = rng.normal(size=n)
-    shift = np.where(driver > 1.0, 2.0, 0.0)
-    return Table.from_dict({
-        "driver": driver,
-        "sig_a": factor + rng.normal(scale=0.3, size=n) + shift,
-        "sig_b": factor + rng.normal(scale=0.3, size=n) + shift,
-        "noise_a": rng.normal(size=n),
-        "noise_b": rng.normal(size=n),
-    }, name="big")
-
-
-class TestRowSampling:
-    def test_sampled_run_finds_the_same_story(self, big_table):
-        exact = Ziggy(big_table).characterize("driver > 1")
-        sampled = Ziggy(big_table, config=ZiggyConfig(
-            sample_rows=2000)).characterize("driver > 1")
-        top_exact = set(exact.views[0].columns)
-        top_sampled = set(sampled.views[0].columns)
-        assert top_exact & top_sampled  # same leading phenomenon
-
-    def test_sampling_noted(self, big_table):
-        result = Ziggy(big_table, config=ZiggyConfig(
-            sample_rows=2000)).characterize("driver > 1")
-        assert any("stratified sample" in n for n in result.notes)
-
-    def test_sampling_faster_on_wide_data(self, rng):
-        n, m = 30_000, 40
-        data = {f"c{j:02d}": rng.normal(size=n) for j in range(m)}
-        data["driver"] = rng.normal(size=n)
-        table = Table.from_dict(data, name="wide")
-        import time
-        t0 = time.perf_counter()
-        Ziggy(table, share_statistics=False).characterize("driver > 1")
-        exact_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        Ziggy(table, config=ZiggyConfig(sample_rows=2000),
-              share_statistics=False).characterize("driver > 1")
-        sampled_time = time.perf_counter() - t0
-        assert sampled_time < exact_time
-
-    def test_small_table_untouched(self, big_table):
-        small = big_table.head(500)
-        result = Ziggy(small, config=ZiggyConfig(
-            sample_rows=2000)).characterize("driver > 0.5")
-        assert not any("sample" in n for n in result.notes)
-
-    def test_both_groups_preserved(self, big_table):
-        # Tiny selection must survive stratification.
-        result = Ziggy(big_table, config=ZiggyConfig(
-            sample_rows=1000)).characterize("driver > 2.5")
-        assert result.n_inside >= 8
-
-    def test_sampling_deterministic(self, big_table):
-        cfg = ZiggyConfig(sample_rows=2000)
-        a = Ziggy(big_table, config=cfg).characterize("driver > 1")
-        b = Ziggy(big_table, config=cfg).characterize("driver > 1")
-        assert [v.columns for v in a.views] == [v.columns for v in b.views]
-        assert [v.score for v in a.views] == \
-               pytest.approx([v.score for v in b.views])
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            ZiggyConfig(sample_rows=10)
 
 
 class TestSkewShift:

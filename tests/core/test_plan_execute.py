@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import events as ev
 from repro.core.config import ZiggyConfig
-from repro.core.events import StageEvent, legacy_stage
+from repro.core.events import StageEvent
 from repro.core.pipeline import CharacterizationPlan, PlanExecutor, Ziggy
 from repro.core.preparation import PreparationEngine
 from repro.engine.table import Table
@@ -90,18 +90,6 @@ class TestEventStream:
     def test_result_event_carries_final_result(self, planted_table):
         result, seen = self.run_with_events(planted_table)
         assert seen[-1].payload is result
-
-    def test_legacy_progress_is_projection_of_events(self, planted_table):
-        z = Ziggy(planted_table)
-        typed: list[StageEvent] = []
-        legacy: list[tuple] = []
-        z.characterize("driver > 1", emit=typed.append,
-                       progress=lambda s, p: legacy.append((s, p)))
-        assert [(legacy_stage(e.kind), e.payload) for e in typed] == legacy
-        stages = [s for s, _ in legacy]
-        assert "preparation" in stages
-        assert "view" in stages
-        assert stages[-1] == "result"
 
     def test_emit_exception_aborts_run(self, planted_table):
         z = Ziggy(planted_table)

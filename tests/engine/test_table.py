@@ -1,5 +1,8 @@
 """Tests for the Table container."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,13 @@ class TestLookup:
     def test_numeric_matrix_empty(self):
         t = Table.from_dict({"c": ["a", "b"]})
         assert t.numeric_matrix().shape == (2, 0)
+
+    def test_numeric_matrix_is_not_retained(self, tiny_table):
+        # Table-derived data belongs in the byte-budgeted StatsCache; a
+        # matrix the table kept would be memory no budget counts.
+        ref = weakref.ref(tiny_table.numeric_matrix(["x", "z"]))
+        gc.collect()
+        assert ref() is None
 
 
 class TestRowOperations:

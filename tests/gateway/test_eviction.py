@@ -9,6 +9,7 @@ import urllib.parse
 
 import pytest
 
+from repro.core.events import StageEvent
 from repro.gateway import GatewayPolicy
 from repro.service.client import ZiggyClient
 from repro.service.protocol import job_event_from_stage
@@ -28,7 +29,7 @@ def _submit_gated_noisy_job(service) -> tuple[str, threading.Event]:
 
     def work(progress):
         for i in range(N_EVENTS):
-            progress("note", {"i": i, "blob": BLOB})
+            progress(StageEvent("note", {"i": i, "blob": BLOB}))
         gate.wait(timeout=60)
         return "ok"
 

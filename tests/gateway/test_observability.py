@@ -5,6 +5,7 @@ import json
 import threading
 import time
 
+from repro.core.events import StageEvent
 from repro.service.client import ZiggyClient
 from repro.service.protocol import job_event_from_stage
 
@@ -38,7 +39,7 @@ class TestHealthz:
         hold = threading.Event()
 
         def work(progress):
-            progress("note", {"i": 0})
+            progress(StageEvent("note", {"i": 0}))
             hold.wait(timeout=30)
             return "ok"
 

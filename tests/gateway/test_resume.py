@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.core.events import StageEvent
 from repro.service.client import TransportError, ZiggyClient
 from repro.service.protocol import job_event_from_stage
 
@@ -16,7 +17,7 @@ def _submit_gated_job(service, n_events: int = 10):
 
     def work(progress):
         for i in range(n_events):
-            progress("note", {"i": i})
+            progress(StageEvent("note", {"i": i}))
         gate.wait(timeout=60)
         return "ok"
 

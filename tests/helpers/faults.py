@@ -23,6 +23,7 @@ import threading
 
 import pytest
 
+from repro.core.events import PREPARED, StageEvent
 from repro.runtime.executors import Executor, ThreadExecutor, WorkerError
 from repro.runtime.executors.base import CompletedHandle
 
@@ -40,8 +41,8 @@ class Collector:
     def begin(self):
         self.began.set()
 
-    def progress(self, stage, payload):
-        self.events.append((stage, payload))
+    def progress(self, event):
+        self.events.append(event)
 
     def finish(self, status, result, error):
         self.outcome = (status, result, error)
@@ -49,7 +50,7 @@ class Collector:
 
     @property
     def stages(self) -> list:
-        return [stage for stage, _ in self.events]
+        return [event.kind for event in self.events]
 
     def wait(self, timeout: float = 120):
         assert self.done.wait(timeout), "no terminal outcome arrived"
@@ -92,8 +93,8 @@ class CrashingExecutor(Executor):
             return self.inner.submit(work, begin=begin, progress=progress,
                                      finish=finish)
         begin()
-        for stage, payload in self.preamble:
-            progress(stage, payload)
+        for kind, payload in self.preamble:
+            progress(StageEvent(kind, payload))
         finish("failed", None,
                WorkerError(f"injected crash (submission #{ordinal})"))
         return CompletedHandle()
@@ -136,7 +137,7 @@ def kill_worker_by_pid():
 
 
 def make_flaky_task(fail_times: int, result: object = "ok",
-                    stages: "tuple[str, ...]" = ("preparation",)):
+                    stages: "tuple[str, ...]" = (PREPARED,)):
     """A deterministic flaky work callable: fails ``fail_times`` times
     with :class:`WorkerError`, then succeeds with ``result``.
 
@@ -148,8 +149,8 @@ def make_flaky_task(fail_times: int, result: object = "ok",
     def work(progress):
         calls["n"] += 1
         attempt = calls["n"]
-        for stage in stages:
-            progress(stage, {"attempt": attempt})
+        for kind in stages:
+            progress(StageEvent(kind, {"attempt": attempt}))
         if attempt <= fail_times:
             raise WorkerError(f"injected flake (attempt #{attempt})")
         return result

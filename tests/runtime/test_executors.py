@@ -60,8 +60,8 @@ class Collector:
     def begin(self):
         self.began = True
 
-    def progress(self, stage, payload):
-        self.events.append((stage, payload))
+    def progress(self, event):
+        self.events.append(event)
 
     def finish(self, status, result, error):
         self.outcome = (status, result, error)
@@ -142,9 +142,9 @@ class TestInlineExecutor:
         status, result, error = calls.outcome
         assert status == "done" and error is None
         assert len(result.views) > 0
-        stages = [s for s, _ in calls.events]
-        assert stages[0] == "preparation"
-        assert stages[-1] == "result"
+        kinds = [e.kind for e in calls.events]
+        assert kinds[0] == "prepared"
+        assert kinds[-1] == "result"
 
     def test_failure_is_an_outcome_not_a_raise(self):
         executor = InlineExecutor()
@@ -185,18 +185,18 @@ class TestThreadExecutor:
             calls = Collector()
 
             def work(progress):
-                progress("step", 1)
-                progress("step", 2)
+                progress(StageEvent("step", 1))
+                progress(StageEvent("step", 2))
                 return "finished"
 
-            def progress(stage, payload):
-                calls.events.append((stage, payload))
+            def progress(event):
+                calls.events.append(event)
                 raise JobCancelled("job-y")
 
             executor.submit(work, begin=calls.begin, progress=progress,
                             finish=calls.finish)
             assert calls.wait()[0] == "cancelled"
-            assert calls.events == [("step", 1)]
+            assert calls.events == [StageEvent("step", 1)]
         finally:
             executor.close()
 
@@ -264,16 +264,16 @@ class TestProcessShardExecutor:
         status, result, error = calls.wait()
         assert status == "done" and error is None
         assert len(result.views) > 0
-        stages = [s for s, _ in calls.events]
-        # identical legacy projection to a local run, in order
-        assert stages[0] == "preparation"
-        assert "component-scored" in stages
-        assert "view" in stages
-        assert "search" in stages
-        assert stages[-1] == "result"
+        kinds = [e.kind for e in calls.events]
+        # the same event kinds as a local run, in order
+        assert kinds[0] == "prepared"
+        assert "component-scored" in kinds
+        assert "view-ranked" in kinds
+        assert "search-complete" in kinds
+        assert kinds[-1] == "result"
         assert calls.began
         # heavy payloads crossed as compact summaries
-        prepared_payload = calls.events[0][1]
+        prepared_payload = calls.events[0].payload
         assert isinstance(prepared_payload, PreparedSummary)
         assert prepared_payload.n_inside > 0
 
@@ -329,8 +329,8 @@ class TestProcessShardExecutor:
             first_event = threading.Event()
             cancel_issued = threading.Event()
 
-            def progress(stage, payload):
-                calls.events.append((stage, payload))
+            def progress(event):
+                calls.events.append(event)
                 first_event.set()
                 # Gate: the first event holds the pump until the cancel
                 # is issued, so the run cannot finish before it lands.
@@ -465,6 +465,46 @@ class TestProcessShardExecutor:
         with pytest.raises(ExecutorError, match="closed"):
             manager.submit(task=task)
         assert manager.job_ids() == ()  # no forever-pending record
+
+    def test_close_leaves_stderr_clean(self):
+        """A shard's exit waits for its control listener, so the exit
+        finalizer never closes the control pipe under a reading thread
+        (which printed ``Exception in thread ...-ctl``).  Runs in a child
+        interpreter: a forked worker's stderr never reaches ``capfd``."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        script = textwrap.dedent("""
+            import threading
+            from repro.data.boxoffice import make_boxoffice
+            from repro.runtime.executors import (
+                CharacterizationTask, ProcessShardExecutor)
+            table = make_boxoffice(n_rows=60)
+            task = CharacterizationTask(table=table.name,
+                                        where="gross > 100000000",
+                                        fingerprint=table.fingerprint())
+            for _ in range(10):
+                executor = ProcessShardExecutor(workers=2)
+                executor.register_table(table)
+                done = threading.Event()
+                executor.submit(task, begin=lambda: None,
+                                progress=lambda event: None,
+                                finish=lambda *outcome: done.set())
+                assert done.wait(60)
+                executor.close()
+        """)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert "Exception in thread" not in child.stderr, child.stderr
 
     def test_worker_runtime_inherits_coordinator_limits(self):
         from repro.runtime import ZiggyRuntime

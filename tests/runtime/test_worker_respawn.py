@@ -75,8 +75,8 @@ class TestKillMidJob:
             # the aborted attempt's stages and the retry's fresh start
             assert WORKER_RESTART_STAGE in calls.stages
             restart_at = calls.stages.index(WORKER_RESTART_STAGE)
-            assert "preparation" in calls.stages[restart_at + 1:]
-            stage, payload = calls.events[restart_at]
+            assert "prepared" in calls.stages[restart_at + 1:]
+            payload = calls.events[restart_at].payload
             assert payload["worker"] == 0
             assert payload["restart"] == 1
             assert payload["attempt"] == 2
@@ -123,9 +123,8 @@ class TestKillLoop:
                 kill_at = rng.randint(1, 12)
                 pid = executor._workers[0].process.pid
 
-                def progress(stage, payload, calls=calls, kill_at=kill_at,
-                             pid=pid):
-                    calls.events.append((stage, payload))
+                def progress(event, calls=calls, kill_at=kill_at, pid=pid):
+                    calls.events.append(event)
                     if len(calls.events) == kill_at:
                         os.kill(pid, signal.SIGKILL)
 
@@ -421,7 +420,7 @@ class TestFaultHarness:
 
     def test_crashing_executor_injects_then_delegates(self):
         backend = CrashingExecutor(fail_submissions=(1,),
-                                   preamble=(("preparation", None),))
+                                   preamble=(("prepared", None),))
         manager = JobManager(backend=backend)
         try:
             first = manager.submit(make_flaky_task(0, result="never"))
@@ -443,7 +442,7 @@ class TestFaultHarness:
         seen = []
 
         def run():
-            return work(lambda stage, payload: seen.append(stage))
+            return work(lambda event: seen.append(event.kind))
 
         with pytest.raises(WorkerError, match="attempt #1"):
             run()
@@ -451,7 +450,7 @@ class TestFaultHarness:
             run()
         assert run() == "third time lucky"
         assert work.calls["n"] == 3
-        assert seen == ["preparation"] * 3
+        assert seen == ["prepared"] * 3
 
     def test_kill_worker_reports_the_pid(self, fast_table,
                                          kill_worker_by_pid):

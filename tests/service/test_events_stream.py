@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core.events import StageEvent
 from repro.errors import JobNotFoundError
 from repro.gateway import make_async_server
 from repro.runtime import ZiggyRuntime
@@ -42,16 +43,16 @@ class TestJobEventLog:
         manager = JobManager(max_workers=1)
         try:
             def work(progress):
-                progress("view", {"rank": 1})
-                progress("result", "done")
+                progress(StageEvent("view-ranked", {"rank": 1}))
+                progress(StageEvent("result", "done"))
                 return "ok"
 
             job_id = manager.submit(work)
             manager.wait(job_id, timeout=10)
             events, finished = manager.events_since(job_id, timeout=1)
             assert finished
-            assert [(seq, stage) for seq, stage, _ in events] == \
-                [(1, "view"), (2, "result")]
+            assert [(seq, kind) for seq, kind, _ in events] == \
+                [(1, "view-ranked"), (2, "result")]
         finally:
             manager.shutdown(wait=False)
 
@@ -61,21 +62,23 @@ class TestJobEventLog:
             gate = threading.Event()
 
             def work(progress):
-                progress("view", 1)
+                progress(StageEvent("view-ranked", 1))
                 gate.wait(timeout=10)
-                progress("view", 2)
+                progress(StageEvent("view-ranked", 2))
                 return "ok"
 
             job_id = manager.submit(work)
             first, finished = manager.events_since(job_id, timeout=5)
-            assert [s for _, s, _ in first] == ["view"]
+            assert [k for _, k, _ in first] == ["view-ranked"]
             assert not finished
             gate.set()
             rest, finished = manager.events_since(
                 job_id, after_seq=first[-1][0], timeout=5)
             # blocks until the second event (and possibly completion);
-            # "view" payloads carry their keep-order rank: (rank, payload)
-            assert any(s == "view" and p == (2, 2) for _, s, p in rest)
+            # view-ranked payloads carry their keep-order rank:
+            # (rank, payload)
+            assert any(k == "view-ranked" and p == (2, 2)
+                       for _, k, p in rest)
         finally:
             manager.shutdown(wait=False)
 

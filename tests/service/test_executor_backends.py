@@ -74,7 +74,7 @@ class CancelGate:
         self.first_event = threading.Event()
         self.released = threading.Event()
 
-    def on_progress(self, stage, payload):
+    def on_progress(self, event):
         self.first_event.set()
         self.released.wait(60)
 
@@ -204,6 +204,23 @@ class TestHttpAcrossBackends:
     def test_health_reports_executor(self, http):
         health = http.health()
         assert health["executor"]["kind"] in BACKENDS
+
+
+@pytest.mark.parametrize("backend", ("inline",) + BACKENDS)
+def test_on_progress_sees_the_logged_kinds(backend, crime_table):
+    """A job's caller hook and its event log speak one vocabulary: the
+    hook receives, in order, exactly the kinds the log streams."""
+    service = make_service(backend, crime_table, max_workers=1)
+    try:
+        seen = []
+        snapshot = service.submit(CharacterizeRequest(where=PREDICATE),
+                                  on_progress=lambda e: seen.append(e.kind))
+        assert service.wait(snapshot.job_id, timeout=120).status == "done"
+        events, finished = service.job_events(snapshot.job_id, timeout=10)
+        assert finished
+        assert seen == [event.kind for event in events]
+    finally:
+        service.shutdown(wait=False)
 
 
 class TestJobRetention:

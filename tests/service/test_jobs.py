@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.core.events import StageEvent
 from repro.errors import JobCancelled, JobNotFoundError
 from repro.service.jobs import JobManager
 
@@ -39,9 +40,10 @@ class TestLifecycle:
 
     def test_progress_events_captured_as_partials(self, manager):
         def work(progress):
-            progress("view", {"rank": 1})
-            progress("view", {"rank": 2})
-            progress("result", "ignored")  # only "view" events are partials
+            progress(StageEvent("view-ranked", {"rank": 1}))
+            progress(StageEvent("view-ranked", {"rank": 2}))
+            # only view-ranked events are partials
+            progress(StageEvent("result", "ignored"))
             return "done"
 
         job = manager.wait(manager.submit(work), timeout=5)
@@ -89,7 +91,7 @@ class TestCancellation:
 
         def work(progress):
             for i in range(1000):
-                progress("view", i)
+                progress(StageEvent("view-ranked", i))
                 started.set()
                 release.wait(timeout=10)
             return "finished"
@@ -116,7 +118,7 @@ class TestCancellation:
         def work(progress):
             manager.cancel(manager.job_ids()[0])  # self-cancel
             try:
-                progress("view", 1)
+                progress(StageEvent("view-ranked", 1))
             except JobCancelled as exc:
                 seen.append(exc)
                 raise

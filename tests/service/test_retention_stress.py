@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.core.events import StageEvent
 from repro.errors import JobNotFoundError
 from repro.service.jobs import JobManager
 
@@ -69,7 +70,7 @@ class TestRetentionUnderStress:
                 expected = f"result-{index}"
 
                 def work(progress, _marker=expected):
-                    progress("tick", {"marker": _marker})
+                    progress(StageEvent("tick", {"marker": _marker}))
                     return _marker
 
                 job_id = manager.submit(work)

@@ -79,12 +79,11 @@ class TestCharacterize:
         events = []
         service.characterize(
             CharacterizeRequest(where="gross > 200000000", client_id="prog"),
-            progress=lambda stage, payload: events.append(stage))
-        stages = [s for s in events]
-        assert "preparation" in stages
-        assert stages.count("view") >= 1
+            progress=lambda event: events.append(event.kind))
+        assert "prepared" in events
+        assert events.count("view-ranked") >= 1
         # every view event precedes the final result event
-        assert stages.index("view") < stages.index("result")
+        assert events.index("view-ranked") < events.index("result")
 
     def test_dispatch_returns_error_dict_not_raise(self, service):
         response = service.dispatch({"type": "characterize",
@@ -94,6 +93,14 @@ class TestCharacterize:
 
     def test_dispatch_unknown_type(self, service):
         response = service.dispatch({"type": "teleport"})
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad_request"
+
+    def test_row_sampling_option_is_rejected(self, service):
+        # A client-set row sample kept one sampled table per predicate.
+        response = service.dispatch({
+            "type": "characterize", "where": "gross > 200000000",
+            "options": {"sample_rows": 4000}})
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
 
@@ -256,7 +263,7 @@ class TestJobs:
         started = threading.Event()
         release = threading.Event()
 
-        def on_progress(stage, payload):
+        def on_progress(event):
             started.set()
             release.wait(timeout=10)
 
@@ -386,9 +393,9 @@ class TestSessionProgress:
         events = []
         results = session.run_many(
             ("gross > 150000000", "gross > 250000000"),
-            progress=lambda stage, payload: events.append(stage))
+            emit=lambda event: events.append(event.kind))
         assert len(results) == 2
-        assert events.count("batch_item") == 2
+        assert events.count("batch-item") == 2
         assert len(session._engines) == 1
 
     def test_ziggy_characterize_many(self, boxoffice_small):

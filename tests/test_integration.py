@@ -132,7 +132,7 @@ class TestMultiDatasetSession:
         assert session.history[0].table_name == "boxoffice"
         assert session.history[1].table_name == "us_crime"
         # Each engine keeps its own cache; re-running boxoffice hits it.
-        engine = session._engine_for("boxoffice")
+        engine = session.engine_for("boxoffice")
         misses = engine.cache_counters().misses
         session.run("gross > 200000000", table="boxoffice")
         assert engine.cache_counters().misses == misses
