@@ -13,8 +13,8 @@ This benchmark measures that, service-level, per backend:
 * submit one characterization **job** per table simultaneously;
 * measure the wall-clock time until every job is ``done``.
 
-It writes machine-readable ``BENCH_executors.json`` (alongside the
-shared-cache benchmark's artifact) and prints a short table.  The
+It writes machine-readable ``BENCH_executors.json`` and prints a short
+table.  The
 recorded ``cpu_count`` qualifies the speedup: on a single-core host the
 process backend cannot win (there is nothing to parallelize onto, and it
 pays the relay overhead), so the regression gate only arms when at

@@ -162,13 +162,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "docs/persistence.md for the durability "
                              "matrix)")
     parser.add_argument("--max-tables", type=int, default=None, metavar="N",
-                        help="most tables the shared runtime keeps resident "
-                             "before LRU-evicting their cached statistics "
+                        help="most tables whose statistics the shared "
+                             "runtime keeps cached; past it the least "
+                             "recently used table's cache is evicted "
                              "(default 16; 0 = unbounded)")
     parser.add_argument("--cache-bytes", type=int, default=None, metavar="B",
-                        help="byte budget for resident table data in the "
-                             "shared runtime; exceeding it LRU-evicts tables "
-                             "and their statistics caches (default "
+                        help="budget over the column data of the tables "
+                             "whose statistics the shared runtime keeps "
+                             "cached; past it the least recently used "
+                             "table's cache is evicted (default "
                              "1073741824 = 1 GiB; 0 = unbounded)")
     parser.add_argument("--frontend", choices=("async",), default="async",
                         help="HTTP front-end: 'async', one event loop "

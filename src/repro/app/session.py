@@ -30,7 +30,7 @@ from repro.engine.table import Table
 from repro.errors import ReproError
 from repro.runtime import ZiggyRuntime, get_runtime
 
-#: Distinguishes anonymous sessions in the registry's borrower ledger.
+#: Distinguishes anonymous sessions among the runtime's borrowers.
 _session_ids = itertools.count(1)
 
 #: Most entries a session's history keeps; older ones are dropped.  The
@@ -109,7 +109,7 @@ class ZiggySession:
         ``emit`` receives the :class:`~repro.core.events.StageEvent`
         stream; it is threaded through to the engine (per-view
         streaming, cooperative cancellation).  The table is leased from
-        the runtime for the duration, so store eviction never interrupts
+        the runtime for the duration, so eviction never interrupts
         the run.
         """
         table_name = self.resolve_table(table)
@@ -146,13 +146,13 @@ class ZiggySession:
                       query_text: str,
                       emit: EmitFn | None = None) -> CharacterizationResult:
         """The shared core of :meth:`run` and :meth:`run_sql`: lease the
-        table, converge the engine onto the registry's current cache,
+        table, converge the engine onto the runtime's current cache,
         execute, record history."""
         engine = self.engine_for(table_name, table=selection.table)
         with self.runtime.lease(selection.table,
                                 borrower=self.client_id) as cache:
-            # The registry may have recreated the cache since this engine
-            # first borrowed (table-store eviction); converge on the
+            # The runtime may have recreated the cache since this engine
+            # first borrowed (after an eviction); converge on the
             # current shared instance rather than a stale private one.
             if engine.cache is not cache:
                 engine.rebind_cache(cache)

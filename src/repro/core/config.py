@@ -96,9 +96,6 @@ class ZiggyConfig:
             falls back to the exact scan.  Tables no larger than the
             sketch capacity are always exact (the sketch covers every
             row there, so there is nothing to approximate).
-        random_seed: seed for subsampled estimators; no built-in
-            estimator reads it (Cliff's delta subsamples with a fixed
-            seed of its own).
     """
 
     max_view_dim: int = 2
@@ -121,7 +118,6 @@ class ZiggyConfig:
     mi_bins: int = 8
     explanation_components: int = 3
     sketch_margin: float = 0.1
-    random_seed: int = 7
 
     def __post_init__(self):
         if self.max_view_dim < 1:

@@ -252,11 +252,10 @@ class Ziggy:
         """Swap the statistics cache this engine shares computations
         through.
 
-        Sessions call this when the runtime's registry hands them a
-        different cache than the one the engine was built with (after a
-        table-store eviction recreated it), so every borrower converges
-        back onto one shared instance instead of diverging onto stale
-        private copies.
+        Sessions call this when the runtime hands them a different
+        cache than the one the engine was built with (after an eviction
+        recreated it), so every borrower converges back onto one shared
+        instance instead of diverging onto stale private copies.
         """
         self.cache = cache
         self._executor.preparation.cache = cache

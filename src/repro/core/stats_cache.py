@@ -25,13 +25,12 @@ moments stay cached, and two loads of identical content share one set of
 entries.  (Earlier revisions pinned a strong reference per table to keep
 ``id(table)`` stable; that leaked every table the cache ever saw.)
 
-Two bounds keep long-lived shared caches healthy:
-
-* the per-predicate stores (``_inside_stats`` / ``_inside_moments``) are
-  LRU-capped at :attr:`StatsCache.max_inside_entries` — every distinct
-  predicate a registry ever saw used to be retained forever;
-* a per-fingerprint key index makes :meth:`invalidate_fingerprint`
-  O(entries for that table) instead of a scan over every store.
+One bound keeps a long-lived shared cache healthy: the per-predicate
+stores (``_inside_stats`` / ``_inside_moments``) are LRU-capped at
+:attr:`StatsCache.max_inside_entries`, so a cache no longer retains
+every distinct predicate it ever saw.  How long a whole cache stays
+resident is the runtime's decision (:class:`~repro.runtime.ZiggyRuntime`
+evicts it with its table's entry).
 
 The **sketch tier** sits underneath the exact stores.  Once
 :meth:`StatsCache.ensure_sketch` has built a
@@ -39,15 +38,16 @@ The **sketch tier** sits underneath the exact stores.  Once
 component scoring is answered from the sketch's shared reservoir sample
 whenever the sample is large enough for the configured error bound to
 decide the comparison — the exact tier only runs for the undecided
-remainder.  The runtime's registry builds the sketch at table
-registration; a library :class:`~repro.core.pipeline.Ziggy` cache never
-does, so it always answers exactly.  Sketches live in a regular entry
-store, so ``snapshot()`` / ``merge_from`` / pickling carry them across
-shards and restarts for free.
+remainder.  The runtime builds the sketch whenever a table enters it
+(registration, borrow or lease); a library
+:class:`~repro.core.pipeline.Ziggy` cache never does, so it always
+answers exactly.  Sketches live in a regular entry store, so
+``snapshot()`` / ``merge_from`` / pickling carry them across shards and
+restarts for free.
 
 Accessors are serialized with a reentrant lock so one cache instance can
 be shared across client sessions and job threads — the basis of the
-process-wide :class:`~repro.runtime.SharedStatsRegistry`.  Computation
+process-wide :class:`~repro.runtime.ZiggyRuntime`.  Computation
 happens under the lock, which is exactly the sharing contract: the first
 arrival pays for a table-level statistic, every concurrent and later
 arrival reuses it.
@@ -77,7 +77,7 @@ from repro.stats.sketches import (
 #: Default LRU cap for the per-predicate stores.  Each entry is a handful
 #: of scalars (summaries) or four small matrices (moments); 4096 distinct
 #: predicates per table is far beyond any interactive session while still
-#: bounding a long-lived registry.
+#: bounding a long-lived shared cache.
 DEFAULT_MAX_INSIDE_ENTRIES = 4096
 
 
@@ -186,22 +186,8 @@ class StatsCache:
         self._inside_moments: OrderedDict[tuple[str, str, tuple[str, ...]], PairwiseMoments] = OrderedDict()
         self._dependency: dict[tuple[str, str, int, tuple[str, ...]], DependencyMatrix] = {}
         self._sketches: dict[tuple[str], TableSketch] = {}
-        # fingerprint -> {(store_name, key)}: the eviction index that
-        # makes invalidate_fingerprint proportional to one table's
-        # entries instead of the whole cache.
-        self._by_fingerprint: dict[str, set[tuple[str, tuple]]] = {}
 
     # -- store plumbing ----------------------------------------------------------
-
-    def _index_add(self, name: str, key: tuple) -> None:
-        self._by_fingerprint.setdefault(key[0], set()).add((name, key))
-
-    def _index_discard(self, name: str, key: tuple) -> None:
-        entries = self._by_fingerprint.get(key[0])
-        if entries is not None:
-            entries.discard((name, key))
-            if not entries:
-                del self._by_fingerprint[key[0]]
 
     def _get(self, name: str, key: tuple):
         """Lookup that refreshes LRU position on bounded stores.  Caller
@@ -213,19 +199,15 @@ class StatsCache:
         return value
 
     def _put(self, name: str, key: tuple, value) -> None:
-        """Insert maintaining the fingerprint index and the LRU caps.
-        Caller holds the lock."""
+        """Insert maintaining the LRU caps.  Caller holds the lock."""
         store = getattr(self, name)
         existed = key in store
         store[key] = value
-        if not existed:
-            self._index_add(name, key)
         if name in self._BOUNDED:
             if existed:
                 store.move_to_end(key)
             while len(store) > self.max_inside_entries:
-                old_key, _ = store.popitem(last=False)
-                self._index_discard(name, old_key)
+                store.popitem(last=False)
                 self.counters.inside_evictions += 1
 
     # -- serialization -----------------------------------------------------------
@@ -254,13 +236,10 @@ class StatsCache:
         for name, default in self._CONFIG.items():
             setattr(self, name, int(config.get(name, default)))
         self._lock = threading.RLock()
-        self._by_fingerprint = {}
         for name in self._STORES:
             store = OrderedDict() if name in self._BOUNDED else {}
+            store.update(state.get(name) or {})
             setattr(self, name, store)
-            for key, value in (state.get(name) or {}).items():
-                store[key] = value
-                self._index_add(name, key)
 
     def snapshot(self) -> "StatsCache":
         """A detached, picklable copy of this cache's current entries.
@@ -283,9 +262,10 @@ class StatsCache:
         parts) and every value is derived deterministically from its
         key, so two caches with equal signatures hold equal entries.
         This is the snapshot store's change detector: it catches a cache
-        whose entries were invalidated and replaced without the total
-        count moving, which a size comparison cannot.  Process-local
-        (``hash`` of strings is seed-randomized) — never persist it.
+        whose capped stores evicted and replaced entries without the
+        total count moving, which a size comparison cannot.
+        Process-local (``hash`` of strings is seed-randomized) — never
+        persist it.
         """
         with self._lock:
             return hash(frozenset(
@@ -432,26 +412,11 @@ class StatsCache:
 
     # -- maintenance ---------------------------------------------------------------------
 
-    def invalidate_table(self, table: Table) -> None:
-        """Drop every entry for one table (for completeness; tables are
-        immutable so this is rarely needed)."""
-        self.invalidate_fingerprint(table.fingerprint())
-
-    def invalidate_fingerprint(self, fingerprint: str) -> None:
-        """Drop every entry keyed under one table fingerprint (what the
-        runtime's table store calls on eviction — the table object may
-        already be gone).  O(entries for that fingerprint) via the key
-        index, independent of how much other tables have cached."""
-        with self._lock:
-            for name, key in self._by_fingerprint.pop(fingerprint, ()):
-                getattr(self, name).pop(key, None)
-
     def clear(self) -> None:
         """Drop everything (counters are preserved)."""
         with self._lock:
             for name in self._STORES:
                 getattr(self, name).clear()
-            self._by_fingerprint.clear()
 
     @property
     def size(self) -> int:
@@ -464,11 +429,16 @@ class StatsCache:
     def ensure_sketch(self, table: Table) -> TableSketch:
         """The table's sketch, built on first call (one pass per column).
 
-        Registration-time warming calls this; a sketch that arrived via
-        :meth:`merge_from` (shard handoff, persistence restore) short-
-        circuits the build.
+        The runtime calls this on every way into a table's entry; a
+        sketch that arrived via :meth:`merge_from` (shard handoff,
+        persistence restore) short-circuits the build.
         """
         key = (self._key(table),)
+        # Lock-free once built (a dict read is atomic): a lease must not
+        # wait out another thread's computation under the cache lock.
+        sketch = self._sketches.get(key)
+        if sketch is not None:
+            return sketch
         with self._lock:
             sketch = self._sketches.get(key)
             if sketch is None:

@@ -124,9 +124,9 @@ class Table:
         """A stable content hash of this table (name, schema and data).
 
         Tables are immutable, so the digest is computed once and memoized.
-        The runtime layer keys cross-client state (the shared statistics
-        registry, the table store) on this value: two tables with equal
-        content share one fingerprint even across separate loads, while
+        The runtime layer keys cross-client state (one shared statistics
+        cache per table) on this value: two tables with equal content
+        share one fingerprint even across separate loads, while
         same-named tables with different rows never collide — unlike
         ``id(table)``, the fingerprint survives the table object itself,
         so caches keyed on it hold no reference to the data.
@@ -148,9 +148,9 @@ class Table:
     def nbytes(self) -> int:
         """Approximate in-memory footprint of the column data, in bytes.
 
-        Used by the runtime's :class:`~repro.runtime.TableStore` to
-        enforce byte-budget eviction; label storage of categoricals is
-        estimated, not measured.
+        :class:`~repro.runtime.ZiggyRuntime` counts it against its byte
+        budget while the table's statistics stay cached; label storage
+        of categoricals is estimated, not measured.
         """
         total = 0
         for col in self._columns:

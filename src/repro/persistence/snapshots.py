@@ -1,15 +1,14 @@
 """The warm-cache snapshot store — prepared statistics that survive.
 
 The paper's "few seconds on large tables" promise rests on preparation
-being paid once per table; the runtime's
-:class:`~repro.runtime.SharedStatsRegistry` already stretches that
-guarantee across clients, and this store stretches it across *process
-lifetimes*: :meth:`~repro.core.stats_cache.StatsCache.snapshot` blobs
-are written per table **fingerprint** on a background cadence (and on
-clean drain), and a restarting coordinator merges them back into the
-registry — and ships them to worker shards — through the same
-``merge_from`` warm-handoff path the self-healing executor uses for
-respawns.  A snapshot on disk is therefore also the respawn path's
+being paid once per table; the shared
+:class:`~repro.runtime.ZiggyRuntime` already stretches that guarantee
+across clients, and this store stretches it across *process lifetimes*:
+:meth:`~repro.core.stats_cache.StatsCache.snapshot` blobs are written
+per table **fingerprint** on a background cadence (and on clean drain),
+and a restarting coordinator merges them back into the runtime — and
+ships them to worker shards — through the same ``merge_from``
+warm-handoff path the self-healing executor uses for respawns.  A snapshot on disk is therefore also the respawn path's
 disk-backed fallback: registrations replayed into a replacement worker
 start from the restored entries instead of an empty cache.
 

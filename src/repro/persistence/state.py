@@ -9,7 +9,7 @@ Layout under one ``--state-dir``::
 The service holds exactly one :class:`DurableState` (or none — the
 default stays fully in-memory); the job manager borrows its journal,
 table registration consults its snapshot store, and a background
-**snapshot daemon** walks the runtime's statistics registry on a cadence,
+**snapshot daemon** walks the runtime's statistics caches on a cadence,
 writing blobs for caches that grew since their last save and compacting
 the journal when it outgrows its threshold.  A clean drain does one
 final pass of both before closing the journal, so a graceful stop leaves
@@ -130,13 +130,13 @@ class DurableState:
                 pass
 
     def snapshot_pass(self) -> int:
-        """Write blobs for every registry cache that changed; returns the
+        """Write blobs for every runtime cache that changed; returns the
         number of blobs written."""
         runtime = self._runtime
         if runtime is None or self._closed:
             return 0
         written = 0
-        for fingerprint, cache in runtime.stats.items():
+        for fingerprint, cache in runtime.caches():
             if self.snapshots.save(fingerprint, cache,
                                    table_name=self.table_name(fingerprint)):
                 written += 1

@@ -3,12 +3,10 @@
 Everything that outlives a single request lives here (see
 ``docs/runtime.md`` for the ownership rules):
 
-* :class:`TableStore` — named, fingerprinted, ref-counted table
-  registration with LRU eviction under table/byte limits;
-* :class:`SharedStatsRegistry` — one thread-safe ``StatsCache`` per table
-  fingerprint, shared across every client session, job and batch;
-* :class:`ZiggyRuntime` — the composition of the two, with a
-  process-wide default (:func:`get_runtime`);
+* :class:`ZiggyRuntime` — one thread-safe ``StatsCache`` per table
+  fingerprint, shared across every client session, job and batch, with
+  pins and LRU eviction under table/byte limits, and a process-wide
+  default (:func:`get_runtime`);
 * :mod:`repro.runtime.executors` — pluggable execution backends
   (inline / thread / process shards routed by table fingerprint) that
   run characterization jobs for the service layer (see
@@ -42,8 +40,6 @@ from repro.runtime.executors import (
     plan_batch,
     shard_index,
 )
-from repro.runtime.stats_registry import RegistryStats, SharedStatsRegistry
-from repro.runtime.table_store import TableEntry, TableStore, TableStoreError
 
 __all__ = [
     "BatchGroup",
@@ -65,9 +61,4 @@ __all__ = [
     "reset_runtime",
     "DEFAULT_MAX_TABLES",
     "DEFAULT_MAX_BYTES",
-    "TableStore",
-    "TableEntry",
-    "TableStoreError",
-    "SharedStatsRegistry",
-    "RegistryStats",
 ]

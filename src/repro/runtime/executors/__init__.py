@@ -83,8 +83,8 @@ def create_executor(kind: str, workers: int = 2, *,
     else:
         kwargs.update(workers=workers, mp_context=mp_context)
         if runtime is not None:
-            kwargs.update(max_tables=runtime.tables.max_tables,
-                          max_bytes=runtime.tables.max_bytes)
+            kwargs.update(max_tables=runtime.max_tables,
+                          max_bytes=runtime.max_bytes)
         if name is not None:
             kwargs["name"] = name
         if max_restarts is not None:

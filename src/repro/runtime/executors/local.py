@@ -52,12 +52,7 @@ class TaskContext:
         its shared statistics cache from a shipped snapshot."""
         with self._lock:
             self.database.register(table, name=name)
-            if cache is not None:
-                # Merge the shipped snapshot *before* registration warms
-                # the sketch tier: a sketch that arrived with the
-                # snapshot short-circuits the build entirely.
-                self.runtime.stats.warm(table, snapshot=cache)
-            self.runtime.register_table(table, name=name)
+            self.runtime.register_table(table, snapshot=cache)
 
     def table_names(self) -> tuple[str, ...]:
         with self._lock:

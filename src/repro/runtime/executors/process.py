@@ -3,8 +3,8 @@
 The GIL caps a thread backend at roughly one core of characterization
 throughput no matter how many clients are hitting the service.  This
 backend escapes it with a persistent pool of **worker processes**, each
-owning a full :class:`~repro.runtime.ZiggyRuntime` (table store + shared
-statistics registry) plus its own catalog and engines.
+owning a full :class:`~repro.runtime.ZiggyRuntime` (one shared
+statistics cache per table) plus its own catalog and engines.
 
 Sharding rule — the whole point of the layout:
 
@@ -459,8 +459,8 @@ class ProcessShardExecutor(Executor):
                        cache=None) -> None:
         """Ship a table, by value, to its owning shard (once).
 
-        The optional ``cache`` snapshot warms the shard's statistics
-        registry with entries the coordinator already computed.
+        The optional ``cache`` snapshot warms the shard's runtime with
+        entries the coordinator already computed.
         """
         fingerprint = table.fingerprint()
         index = self.shard_for(fingerprint)

@@ -1,20 +1,22 @@
 """The shared runtime — all cross-request state under one roof.
 
-A :class:`ZiggyRuntime` composes the two cross-request stores:
+A :class:`ZiggyRuntime` owns one entry per table **fingerprint**: the
+table's shared :class:`StatsCache`, the table's ``nbytes``, a pin count,
+an LRU tick and the set of borrowers that asked for it.  It holds no
+table reference: catalogs (:class:`~repro.engine.database.Database`)
+own tables, the runtime owns how long their derived state stays
+resident.
 
-* :class:`~repro.runtime.table_store.TableStore` — who holds tables, for
-  how long (ref-counted pins, LRU eviction under table/byte limits);
-* :class:`~repro.runtime.stats_registry.SharedStatsRegistry` — one
-  thread-safe :class:`StatsCache` per table fingerprint, shared by every
-  session, job and batch.
-
-The store's evictions are wired into the registry, so reclaiming a table
-also frees its cached moments — bounded memory end to end.
+Every way into an entry — :meth:`ZiggyRuntime.register_table`,
+:meth:`ZiggyRuntime.stats_for` and :meth:`ZiggyRuntime.lease` — goes
+through one helper, which also ensures the table's sketch (outside the
+runtime lock).  So an entry created again after an eviction comes back
+on the sketch tier it left, whichever path recreated it.
 
 Sessions and services *borrow* state from the runtime instead of owning
 it: :meth:`ZiggyRuntime.stats_for` hands out the shared cache for a
-table, and :meth:`ZiggyRuntime.lease` pins a table for the duration of a
-characterization so eviction never races a running query.
+table, and :meth:`ZiggyRuntime.lease` pins the entry for the duration of
+a characterization so eviction never races a running query.
 
 A process-wide default runtime (:func:`get_runtime`) makes sharing the
 zero-configuration behaviour — two independently constructed sessions in
@@ -25,88 +27,198 @@ want their own limits build a runtime explicitly and pass it down
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.core.stats_cache import StatsCache
 from repro.engine.table import Table
-from repro.runtime.stats_registry import SharedStatsRegistry
-from repro.runtime.table_store import TableEntry, TableStore
+from repro.errors import ReproError
 
 #: Default eviction limits of the process-wide runtime (and of
 #: ``repro serve``): plenty for interactive exploration, small enough
 #: that a long-lived process cannot accrete unbounded table state.
 DEFAULT_MAX_TABLES = 16
-DEFAULT_MAX_BYTES = 1 << 30  # 1 GiB of resident column data
+DEFAULT_MAX_BYTES = 1 << 30  # 1 GiB of column data
+
+
+@dataclass
+class _Entry:
+    """The runtime's record of one table's content."""
+
+    cache: StatsCache
+    nbytes: int
+    pins: int = 0
+    last_used: int = 0
+    borrowers: set[str] = field(default_factory=set)
 
 
 class ZiggyRuntime:
-    """Cross-request state: the table store plus the stats registry.
+    """Cross-request state: one statistics cache per table fingerprint,
+    evicted least-recently-used first under two limits.
 
     Args:
-        max_tables: resident-table limit for the store (None = unbounded).
-        max_bytes: resident-byte limit for the store (None = unbounded).
+        max_tables: most tables whose statistics stay cached
+            (None = unbounded).
+        max_bytes: budget over those tables' column data, in bytes
+            (None = unbounded).
+
+    ``hits``, ``misses``, ``cross_client_hits`` and ``evictions`` count
+    over the runtime's lifetime.  A borrow (:meth:`stats_for`,
+    :meth:`lease`) is a hit when the entry already existed and a miss
+    when it created it; a hit is cross-client when someone other than
+    the borrower had borrowed the entry before.  Registration is not a
+    borrow.
     """
 
     def __init__(self, max_tables: int | None = DEFAULT_MAX_TABLES,
                  max_bytes: int | None = DEFAULT_MAX_BYTES):
-        self.tables = TableStore(max_tables=max_tables, max_bytes=max_bytes)
-        self.stats = SharedStatsRegistry()
-        self.tables.add_evict_listener(self._on_table_evicted)
+        if max_tables is not None and max_tables < 1:
+            raise ReproError("max_tables must be at least 1")
+        if max_bytes is not None and max_bytes < 0:
+            raise ReproError("max_bytes must be non-negative")
+        self.max_tables = max_tables
+        self.max_bytes = max_bytes
+        self._entries: dict[str, _Entry] = {}
+        self._clock = itertools.count(1)
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.cross_client_hits = 0
+        self.evictions = 0
 
-    def _on_table_evicted(self, entry) -> None:
-        # An alias registered under another name may keep the content
-        # resident; only drop the shared cache when the last one goes.
-        if not self.tables.has_resident_fingerprint(entry.fingerprint):
-            self.stats.evict(entry.fingerprint)
+    # -- the one way into an entry --------------------------------------------------
+
+    def _enter(self, table: Table, *, borrower: str | None = None,
+               pin: bool = False,
+               snapshot: StatsCache | None = None) -> _Entry:
+        fingerprint = table.fingerprint()
+        with self._lock:
+            entry = self._entries.get(fingerprint)
+            created = entry is None
+            if created:
+                entry = _Entry(StatsCache(), table.nbytes())
+                self._entries[fingerprint] = entry
+            entry.last_used = next(self._clock)
+            if borrower is not None:
+                if created:
+                    self.misses += 1
+                else:
+                    self.hits += 1
+                    if entry.borrowers - {borrower}:
+                        self.cross_client_hits += 1
+                entry.borrowers.add(borrower)
+            if pin:
+                # Pin before enforcing, so a lease taken under limit
+                # pressure is never its own eviction victim.
+                entry.pins += 1
+            self._enforce_limits()
+        # Outside the runtime lock: a merge or a sketch build for one
+        # table never stalls borrows of another.  A merged snapshot that
+        # carries the sketch makes the build a lookup.
+        try:
+            if snapshot is not None:
+                entry.cache.merge_from(snapshot)
+            entry.cache.ensure_sketch(table)
+        except BaseException:
+            if pin:
+                self._unpin(entry)  # no lease will release it
+            raise
+        return entry
+
+    def _unpin(self, entry: _Entry) -> None:
+        with self._lock:
+            entry.pins -= 1
+            self._enforce_limits()
+
+    def _enforce_limits(self) -> None:
+        # Caller holds the lock.
+        while True:
+            entries = self._entries
+            over_count = (self.max_tables is not None
+                          and len(entries) > self.max_tables)
+            over_bytes = (self.max_bytes is not None
+                          and sum(e.nbytes for e in entries.values())
+                          > self.max_bytes)
+            if not (over_count or over_bytes):
+                return
+            victims = [(e.last_used, fp) for fp, e in entries.items()
+                       if e.pins == 0]
+            if not victims:
+                return  # everything is pinned; re-checked on release
+            del entries[min(victims)[1]]
+            self.evictions += 1
 
     # -- borrowing ----------------------------------------------------------------
 
-    def register_table(self, table: Table, name: str | None = None) -> TableEntry:
-        """Make a table known to the runtime (idempotent, LRU bump).
+    def register_table(self, table: Table, *,
+                       snapshot: StatsCache | None = None) -> StatsCache:
+        """Make a table known to the runtime (idempotent, LRU bump);
+        returns the table's cache.
 
-        Registration also warms the table's shared cache with its sketch
-        tier (built once per content fingerprint; a no-op when a sketch
-        already arrived via snapshot restore or shard handoff), so the
-        first query already runs on the sublinear path.
+        Merges an optional pre-warmed ``snapshot`` (a persisted or
+        shipped cache) into the table's cache, then builds the table's
+        sketch unless the cache already has it, so the first query runs
+        on the sketch tier.  Not a borrow: the counters do not move.
         """
-        entry = self.tables.register(table, name=name)
-        self.stats.warm(table)
-        return entry
+        return self._enter(table, snapshot=snapshot).cache
 
     def stats_for(self, table: Table,
                   borrower: str = "anonymous") -> StatsCache:
-        """The shared statistics cache for one table.
-
-        Registers the table as a side effect so the store's eviction
-        policy governs how long its derived state stays resident (and
-        warms the sketch tier, amortized to a lookup after first build).
-        """
-        self.register_table(table)
-        return self.stats.cache_for(table, borrower=borrower)
+        """The shared statistics cache for one table (one borrow)."""
+        return self._enter(table, borrower=borrower).cache
 
     @contextmanager
     def lease(self, table: Table,
               borrower: str = "anonymous") -> Iterator[StatsCache]:
-        """Pin a table for the duration of a characterization.
+        """Pin a table's entry for the duration of a characterization.
 
-        Yields the table's shared cache; while the lease is held the
-        table (and therefore its cache) cannot be evicted, so limits
-        never interrupt running work — they apply between requests.
+        Yields the table's shared cache (one borrow); while the lease is
+        held the entry cannot be evicted, so limits never interrupt
+        running work — they apply between requests.
         """
-        entry = self.tables.acquire(table)
+        entry = self._enter(table, borrower=borrower, pin=True)
         try:
-            yield self.stats.cache_for(table, borrower=borrower)
+            yield entry.cache
         finally:
-            self.tables.release(entry)
+            self._unpin(entry)
 
     # -- introspection ------------------------------------------------------------
 
+    def caches(self) -> list[tuple[str, StatsCache]]:
+        """Every ``(fingerprint, cache)`` pair currently resident.
+
+        A point-in-time copy, not a live view: the snapshot daemon walks
+        it without holding the runtime lock while it pickles.
+        """
+        with self._lock:
+            return [(fp, e.cache) for fp, e in self._entries.items()]
+
     def stats_snapshot(self) -> dict:
-        """Store + registry health in one JSON-able dict."""
-        return {"tables": self.tables.stats(),
-                "registry": self.stats.stats().to_dict()}
+        """Runtime health in one JSON-able dict (``/v2/state``)."""
+        with self._lock:
+            entries = list(self._entries.values())
+            hits, misses = self.hits, self.misses
+            cross, evictions = self.cross_client_hits, self.evictions
+        lookups = hits + misses
+        return {
+            "tables": {
+                "tables": len(entries), "resident": len(entries),
+                "pinned": sum(1 for e in entries if e.pins > 0),
+                "resident_bytes": sum(e.nbytes for e in entries),
+                "evictions": evictions,
+                "max_tables": self.max_tables, "max_bytes": self.max_bytes,
+            },
+            "registry": {
+                "caches": len(entries),
+                "entries": sum(e.cache.size for e in entries),
+                "hits": hits, "misses": misses,
+                "cross_client_hits": cross, "evictions": evictions,
+                "hit_rate": hits / lookups if lookups else 0.0,
+            },
+        }
 
 
 # ---------------------------------------------------------------------------

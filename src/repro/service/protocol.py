@@ -766,8 +766,8 @@ class StateReport:
     write-side counters of :mod:`repro.persistence`; ``recovery`` is the
     last boot's :class:`~repro.persistence.RecoveryReport` (or None when
     the journal was empty / no recovery ran); ``runtime`` is the shared
-    runtime's table-store + registry snapshot; ``jobs`` counts the
-    manager's live records by status.
+    runtime's ``stats_snapshot()`` (``tables`` and ``registry``);
+    ``jobs`` counts the manager's live records by status.
     """
 
     enabled: bool

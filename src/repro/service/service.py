@@ -9,10 +9,9 @@ compatibility adapter are both thin shells around it.
 
 Cross-request state is **borrowed from the runtime**, not owned: every
 session's per-table statistics cache comes from the
-:class:`~repro.runtime.ZiggyRuntime`'s shared registry, so two clients
-characterizing predicates on the same table share one global-statistics
-computation, and the runtime's table store bounds how much derived state
-stays resident.
+:class:`~repro.runtime.ZiggyRuntime`, so two clients characterizing
+predicates on the same table share one global-statistics computation,
+and the runtime's limits bound how much derived state stays resident.
 
 Sessions are serialized per client with a lock (a session's history and
 configuration are single-threaded state), so concurrent requests for
@@ -117,7 +116,7 @@ class ZiggyService:
             — the durability matrix lives in ``docs/persistence.md``).
     """
 
-    #: Distinguishes service instances in the registry's borrower ledger
+    #: Distinguishes service instances among the runtime's borrowers
     #: (two services sharing one runtime are distinct borrowers even for
     #: equal client IDs).
     _instances = itertools.count(1)
@@ -173,32 +172,27 @@ class ZiggyService:
     # -- catalog / sessions -------------------------------------------------------
 
     def register_table(self, table: Table, name: str | None = None) -> None:
-        """Add a dataset to the shared catalog, the runtime store, and
-        the executor backend (process shards receive it by value).
+        """Add a dataset to the shared catalog, the runtime, and the
+        executor backend (process shards receive it by value).
 
         With durable state attached, a warm-cache snapshot matching the
         table's content fingerprint is restored first: merged into the
-        shared registry (so coordinator-side queries skip preparation)
-        and shipped with the executor registration (so worker shards —
-        and their future respawns — start warm too).
+        runtime's cache for the table (so coordinator-side queries skip
+        preparation) and shipped with the executor registration (so
+        worker shards — and their future respawns — start warm too).
         """
         self.database.register(table, name=name)
         self._share_table(table, name=name)
 
     def _share_table(self, table: Table, name: str | None = None) -> None:
-        """Runtime + executor registration, with snapshot warm restore.
-
-        The snapshot (if any) is merged *before* registration so a
-        restored sketch short-circuits the registration-time sketch
-        build instead of racing it."""
+        """Runtime + executor registration, with snapshot warm restore
+        (a restored sketch makes the registration-time build a lookup)."""
         snapshot = None
         if self.state is not None:
             fingerprint = table.fingerprint()
             self.state.note_table(name or table.name, fingerprint)
             snapshot = self.state.snapshots.load(fingerprint)
-            if snapshot is not None:
-                self.runtime.stats.warm(table, snapshot=snapshot)
-        self.runtime.register_table(table, name=name)
+        self.runtime.register_table(table, snapshot=snapshot)
         self.executor.register_table(table, name=name, cache=snapshot)
 
     def session(self, client_id: str = "default") -> ZiggySession:
@@ -414,7 +408,9 @@ class ZiggyService:
                     config=config,
                     client_id=f"{request.client_id}@{self._instance}"),
                 begin=lambda: None,
-                progress=self._group_progress(group, progress),
+                # An executor's relay is always called, hook or not.
+                progress=(self._group_progress(group, progress)
+                          or (lambda _event: None)),
                 finish=finish)
             waiters.append((group, outcome, done))
         failure: BaseException | None = None
@@ -452,7 +448,8 @@ class ZiggyService:
     @staticmethod
     def _group_progress(group: "BatchGroup", progress: EmitFn | None
                         ) -> EmitFn | None:
-        """Remap a group's ``batch-item`` indices to batch positions."""
+        """Remap a group's ``batch-item`` indices to batch positions
+        (None without a hook)."""
         if progress is None:
             return None
 
@@ -470,7 +467,10 @@ class ZiggyService:
                ) -> JobSnapshot:
         """Queue a characterization as an asynchronous job.
 
-        Returns the initial (``pending``) snapshot; poll with
+        Returns a snapshot taken after the backend accepted the job, so
+        its status is whatever the job reached by then: ``pending`` or
+        ``running`` on a pooled backend (a fast job on a busy host may
+        already be terminal), always terminal on ``inline``.  Poll with
         :meth:`job_status` and stop with :meth:`cancel`.
 
         On a callable-capable backend (inline/thread) the job is the

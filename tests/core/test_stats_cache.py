@@ -100,14 +100,6 @@ class TestDependencyCache:
 
 
 class TestMaintenance:
-    def test_invalidate_table(self, db_and_table):
-        db, table = db_and_table
-        cache = StatsCache()
-        cache.global_column_stats(table, "x")
-        assert cache.size == 1
-        cache.invalidate_table(table)
-        assert cache.size == 0
-
     def test_clear_preserves_counters(self, db_and_table):
         db, table = db_and_table
         cache = StatsCache()

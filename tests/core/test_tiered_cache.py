@@ -1,6 +1,5 @@
 """Tests for the statistics cache's sketch tier: sketch answers, exact
-fallback, LRU bounding, indexed invalidation, and snapshot/merge/pickle
-transport."""
+fallback, LRU bounding, and snapshot/merge/pickle transport."""
 
 import pickle
 
@@ -187,33 +186,3 @@ class TestBounding:
         hits_before = cache.counters.inside_hits
         cache.inside_column_stats(sels[0], "x")
         assert cache.counters.inside_hits == hits_before + 1
-
-    def test_eviction_maintains_fingerprint_index(self):
-        table = make_table(300, name="lru_t3")
-        cache = StatsCache(max_inside_entries=5)
-        for i in range(12):
-            sel = selection_from_mask(
-                table, np.arange(table.n_rows) % 7 == i % 7, label=str(i))
-            cache.inside_column_stats(sel, "x")
-        cache.invalidate_fingerprint(table.fingerprint())
-        assert cache.size == 0
-        assert not cache._by_fingerprint
-
-
-class TestInvalidation:
-    def test_only_named_fingerprint_dropped(self, big_db, big_table):
-        other = make_table(400, seed=5, name="other_t")
-        cache = StatsCache()
-        cache.ensure_sketch(big_table)
-        cache.ensure_sketch(other)
-        cache.global_column_stats(big_table, "x")
-        cache.global_column_stats(other, "x")
-        before = cache.size
-        cache.invalidate_fingerprint(big_table.fingerprint())
-        assert cache.sketch_for(big_table.fingerprint()) is None
-        assert cache.sketch_for(other.fingerprint()) is not None
-        assert cache.size < before
-        # the surviving table's entries still serve
-        hits = cache.counters.column_hits
-        cache.global_column_stats(other, "x")
-        assert cache.counters.column_hits == hits + 1

@@ -11,6 +11,12 @@ from repro.engine.table import Table
 from repro.errors import SchemaError, UnknownColumnError
 
 
+def make_table(name: str, seed: int = 0, n: int = 50) -> Table:
+    rng = np.random.default_rng(seed)
+    return Table.from_dict({"a": rng.normal(size=n),
+                            "b": rng.normal(size=n)}, name=name)
+
+
 class TestConstruction:
     def test_from_dict_shapes(self, tiny_table):
         assert tiny_table.shape == (8, 5)
@@ -149,3 +155,31 @@ class TestRowOperations:
         text = tiny_table.preview(n=2)
         assert "x" in text
         assert "8 rows total" in text
+
+
+class TestFingerprint:
+    def test_identical_content_same_fingerprint(self):
+        assert make_table("t", seed=1).fingerprint() == \
+            make_table("t", seed=1).fingerprint()
+
+    def test_different_data_different_fingerprint(self):
+        assert make_table("t", seed=1).fingerprint() != \
+            make_table("t", seed=2).fingerprint()
+
+    def test_same_data_different_name_differs(self):
+        a, b = make_table("t1", seed=1), make_table("t2", seed=1)
+        assert a.fingerprint() != b.fingerprint()
+
+    def test_memoized(self):
+        t = make_table("t")
+        assert t.fingerprint() is t.fingerprint()
+
+    def test_categorical_and_boolean_columns_hash(self):
+        t = Table.from_dict({"c": ["x", "y", None, "x"],
+                             "f": [True, False, None, True]}, name="mixed")
+        u = Table.from_dict({"c": ["x", "y", None, "x"],
+                             "f": [True, False, None, True]}, name="mixed")
+        assert t.fingerprint() == u.fingerprint()
+
+    def test_nbytes_positive(self):
+        assert make_table("t").nbytes() > 0

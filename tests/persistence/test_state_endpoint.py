@@ -80,6 +80,19 @@ class TestStateEndpoint:
         assert report.jobs["journal_errors"] == 0
         assert "registry" in report.runtime
 
+    def test_runtime_section_key_sets(self, live_server):
+        client, _, _ = live_server
+        client.characterize("gross > 200000000", table="boxoffice")
+        runtime = client.state().runtime
+        assert set(runtime) == {"tables", "registry"}
+        assert set(runtime["tables"]) == {
+            "tables", "resident", "pinned", "resident_bytes", "evictions",
+            "max_tables", "max_bytes"}
+        assert set(runtime["registry"]) == {
+            "caches", "entries", "hits", "misses", "cross_client_hits",
+            "evictions", "hit_rate"}
+        assert runtime["tables"]["tables"] == runtime["tables"]["resident"]
+
     def test_recovery_section_appears_after_a_restart(self, tmp_path,
                                                       table, live_server):
         client, service, server = live_server

@@ -12,7 +12,7 @@ from repro.data.crime import make_crime
 from repro.errors import JobNotFoundError
 from repro.gateway import make_async_server
 from repro.runtime import ZiggyRuntime
-from repro.service import CharacterizeRequest, ZiggyService
+from repro.service import BatchRequest, CharacterizeRequest, ZiggyService
 from repro.service.client import ZiggyClient
 from repro.service.jobs import JobManager
 
@@ -221,6 +221,28 @@ def test_on_progress_sees_the_logged_kinds(backend, crime_table):
         assert seen == [event.kind for event in events]
     finally:
         service.shutdown(wait=False)
+
+
+def test_hookless_batch_hands_the_process_backend_callable_relays(
+        boxoffice_small, monkeypatch):
+    """The process pump calls ``progress`` for every relayed event, so
+    a batch without a hook must still hand it a callable."""
+    service = make_service("process", boxoffice_small, max_workers=1)
+    received = []
+    submit = service.executor.submit
+
+    def recording_submit(work, *, begin, progress, finish):
+        received.append(progress)
+        return submit(work, begin=begin, progress=progress, finish=finish)
+
+    monkeypatch.setattr(service.executor, "submit", recording_submit)
+    try:
+        batch = service.characterize_many(BatchRequest(
+            predicates=("gross > 150000000", "gross > 250000000")))
+    finally:
+        service.shutdown(wait=False)
+    assert len(batch.results) == 2
+    assert received and all(callable(p) for p in received)
 
 
 class TestJobRetention:

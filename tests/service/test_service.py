@@ -97,12 +97,14 @@ class TestCharacterize:
         assert response["error"]["code"] == "bad_request"
 
     def test_row_sampling_option_is_rejected(self, service):
-        # A client-set row sample kept one sampled table per predicate.
-        response = service.dispatch({
-            "type": "characterize", "where": "gross > 200000000",
-            "options": {"sample_rows": 4000}})
-        assert response["ok"] is False
-        assert response["error"]["code"] == "bad_request"
+        # A client-set row sample kept one sampled table per predicate;
+        # a client-set seed was read by no estimator.
+        for options in ({"sample_rows": 4000}, {"random_seed": 3}):
+            response = service.dispatch({
+                "type": "characterize", "where": "gross > 200000000",
+                "options": options})
+            assert response["ok"] is False, options
+            assert response["error"]["code"] == "bad_request", options
 
 
 class TestBatch:
@@ -231,10 +233,17 @@ class TestHistoryCap:
 
 class TestJobs:
     def test_submit_poll_result(self, service):
+        # The job's first event waits until the returned status has been
+        # checked, so a fast job cannot be done by then.
+        checked = threading.Event()
         snapshot = service.submit(JobSubmitRequest(
             request=CharacterizeRequest(where="gross > 200000000",
-                                        client_id="jobs")))
-        assert snapshot.status in ("pending", "running")
+                                        client_id="jobs")),
+            on_progress=lambda _event: checked.wait(30))
+        try:
+            assert snapshot.status in ("pending", "running")
+        finally:
+            checked.set()
         final = service.wait(snapshot.job_id, timeout=30)
         assert final.status == "done"
         assert final.result is not None

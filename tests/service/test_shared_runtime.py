@@ -3,7 +3,7 @@
 The paper's computation-sharing claim, extended across clients: two
 distinct ``ZiggyService`` clients characterizing predicates on the same
 table must share one global-statistics computation, observable as
-cross-client hits in the shared registry; and concurrent clients must
+cross-client hits in the shared runtime; and concurrent clients must
 get results identical to serial execution.
 """
 
@@ -48,8 +48,8 @@ class TestCrossClientSharing:
             where=PREDICATES[0], client_id="bob"))
         # bob borrowed the same cache object...
         assert service.session("bob").engine_for("boxoffice").cache is cache
-        # ...and the registry observed the cross-client borrow.
-        assert runtime.stats.stats().cross_client_hits >= 1
+        # ...and the runtime observed the cross-client borrow.
+        assert runtime.cross_client_hits >= 1
         # Identical predicate: bob recomputed *nothing* table-level.
         assert cache.counters.dependency_misses == deps_after_alice
         assert cache.counters.misses == misses_after_alice
@@ -75,9 +75,9 @@ class TestCrossClientSharing:
         s2.register_table(boxoffice_small)
         try:
             s1.characterize(CharacterizeRequest(where=PREDICATES[0]))
-            hits_before = runtime.stats.stats().cross_client_hits
+            hits_before = runtime.cross_client_hits
             s2.characterize(CharacterizeRequest(where=PREDICATES[0]))
-            assert runtime.stats.stats().cross_client_hits > hits_before
+            assert runtime.cross_client_hits > hits_before
         finally:
             s1.shutdown(wait=False)
             s2.shutdown(wait=False)
@@ -90,7 +90,7 @@ class TestConcurrentClients:
                                                               runtime):
         """Acceptance: N threads running characterize_many on the same
         table produce results identical to a serial run, with >= 1
-        registry hit."""
+        runtime hit."""
         serial = service.characterize_many(BatchRequest(
             predicates=PREDICATES, client_id="serial"))
         expected = [[tuple(v["columns"]) for v in r.views.items]
@@ -128,8 +128,8 @@ class TestConcurrentClients:
             for gs, es in zip(got_scores, expected_scores):
                 assert gs == pytest.approx(es, rel=1e-12), client_id
 
-        assert runtime.stats.stats().hits >= 1
-        assert runtime.stats.stats().cross_client_hits >= 1
+        assert runtime.hits >= 1
+        assert runtime.cross_client_hits >= 1
 
 
 class TestLeakFix:
@@ -156,9 +156,9 @@ class TestLeakFix:
         assert cache.size > 0         # while the moments remain cached
 
     def test_sessions_converge_after_eviction(self, rng):
-        """After the store evicts a table's cache, the next run re-borrows
-        the registry's current cache instead of keeping the stale one —
-        borrowers never diverge onto private copies."""
+        """After the runtime evicts a table's cache, the next run
+        re-borrows the runtime's current cache instead of keeping the
+        stale one — borrowers never diverge onto private copies."""
         from repro.app.session import ZiggySession
         from repro.engine.table import Table
 
@@ -174,11 +174,11 @@ class TestLeakFix:
             s.add_table(t2)
         a.run("x > 0", table="t1")
         a.run("x > 0", table="t2")     # max_tables=1: evicts t1's cache
-        b.run("x > 0", table="t1")     # registry recreates t1's cache
+        b.run("x > 0", table="t1")     # the runtime recreates t1's cache
         a.run("x > 0", table="t1")     # a must converge onto it
         assert a.engine_for("t1").cache is b.engine_for("t1").cache
         assert a.engine_for("t1").cache is \
-            runtime.stats.peek(t1.fingerprint())
+            dict(runtime.caches())[t1.fingerprint()]
 
     def test_session_tables_bounded_by_runtime_limits(self, rng):
         """End to end: a runtime with a 2-table limit never keeps more
@@ -194,6 +194,33 @@ class TestLeakFix:
                 name=f"t{i}")
             session.add_table(t)
             session.run("x > 0", table=f"t{i}")
-        assert runtime.tables.stats()["resident"] <= 2
-        assert runtime.stats.stats().caches <= 2
-        assert runtime.stats.stats().evictions >= 3
+        snapshot = runtime.stats_snapshot()
+        assert snapshot["tables"]["resident"] <= 2
+        assert snapshot["registry"]["caches"] <= 2
+        assert runtime.evictions >= 3
+
+
+class TestSketchTierAfterEviction:
+    def test_process_shard_answers_big_table_on_sketch_tier(self, rng):
+        """Both tables route to the one shard, whose runtime inherits
+        ``max_tables=1``: registering the second evicts the first's
+        warmed cache, and the first query on it must still reach the
+        sketch tier."""
+        from repro.engine.table import Table
+
+        x = rng.normal(size=6000)
+        big = Table.from_dict({"x": x, "y": 0.5 * x + rng.normal(size=6000),
+                               "z": rng.normal(size=6000)}, name="big")
+        small = Table.from_dict({"x": rng.normal(size=200),
+                                 "y": rng.normal(size=200)}, name="small")
+        service = ZiggyService(executor="process", max_workers=1,
+                               runtime=ZiggyRuntime(max_tables=1))
+        try:
+            service.register_table(big)
+            service.register_table(small)
+            response = service.characterize(
+                CharacterizeRequest(where="x > 0", table="big"))
+        finally:
+            service.shutdown(wait=False)
+        assert any("sketch tier answered" in note
+                   for note in response.notes)
