@@ -53,6 +53,22 @@ class DependencyMatrix:
         except ValueError:
             raise SearchError(f"column {name!r} not in dependency matrix") from None
 
+    def restrict(self, columns: tuple[str, ...]) -> "DependencyMatrix":
+        """The matrix over a subset of the columns, in ``columns`` order.
+
+        Every measure here is pairwise, so the slice equals the matrix
+        computed over ``columns`` alone.
+        """
+        position = {name: i for i, name in enumerate(self.names)}
+        try:
+            index = [position[c] for c in columns]
+        except KeyError as exc:
+            raise SearchError(f"column {exc.args[0]!r} not in dependency "
+                              "matrix") from None
+        return DependencyMatrix(names=tuple(columns),
+                                matrix=self.matrix[np.ix_(index, index)],
+                                method=self.method)
+
     def dependency(self, a: str, b: str) -> float:
         """S(a, b); 1.0 when ``a == b``."""
         if a == b:

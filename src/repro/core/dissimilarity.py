@@ -28,7 +28,7 @@ from repro.core.components.base import ComponentOutcome
 from repro.core.config import ZiggyConfig
 from repro.core.views import ComponentScore, View
 from repro.errors import ConfigError
-from repro.stats.robust import iqr as _iqr, mad as _mad
+from repro.stats.robust import divides, finite_spread, iqr as _iqr, mad as _mad
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,15 @@ def build_normalizer(raw_values: list[float], method: str) -> Normalizer:
     if mags.size == 0:
         return Normalizer(method="robust_z", center=0.0, scale=1.0)
     center = float(np.median(mags))
+    # The robust_zscores cascade: a scale that is zero, NaN or too small
+    # to divide the population's finite spread falls through to the next.
+    spread = finite_spread(mags, center)
     scale = _mad(mags)
-    if scale <= 0.0:
+    if not divides(scale, spread):
         scale = _iqr(mags) / 1.349 if mags.size >= 4 else 0.0
-    if scale <= 0.0:
+    if not divides(scale, spread):
         scale = float(np.std(mags)) if mags.size >= 2 else 0.0
-    if scale <= 0.0 or scale != scale:
+    if not divides(scale, spread):
         # Entire population is (near-)identical: fall back to unit scale
         # so a genuinely larger newcomer still scores above zero.
         scale = max(center, 1.0)

@@ -31,6 +31,7 @@ from repro.core.dissimilarity import (
 from repro.core.stats_cache import StatsCache
 from repro.engine.column import CategoricalColumn
 from repro.engine.database import Selection
+from repro.engine.table import Table
 from repro.errors import EmptySelectionError
 from repro.stats.histogram import FrequencyProfile
 
@@ -110,13 +111,18 @@ class PreparationEngine:
             registry = self.registry
         notes: list[str] = []
         self._check_group_sizes(selection, config)
-        columns = self._active_columns(selection, config, notes)
+        pool = self._candidate_columns(selection.table, config)
+        columns = self._active_columns(selection, config, pool, notes)
         slices = self._build_column_slices(selection, columns, cache, config,
                                            notes)
+        # Table-level statistics cover the whole pool, so every query
+        # under this configuration shares one computation of them.
         dependency = cache.dependency_matrix(
-            selection.table, columns, config.dependency_method, config.mi_bins)
+            selection.table, pool, config.dependency_method,
+            config.mi_bins).restrict(columns)
         pair_slices = self._build_pair_slices(
-            selection, columns, slices, dependency, config, cache, notes)
+            selection, pool, columns, slices, dependency, config, cache,
+            notes)
         catalog = self._evaluate_components(slices, pair_slices, config,
                                             notes, registry)
         return PreparedData(
@@ -138,24 +144,32 @@ class PreparationEngine:
             raise EmptySelectionError(n_in, selection.table.n_rows)
 
     @staticmethod
-    def _active_columns(selection: Selection, config: ZiggyConfig,
-                        notes: list[str]) -> tuple[str, ...]:
-        table = selection.table
+    def _candidate_columns(table: Table,
+                           config: ZiggyConfig) -> tuple[str, ...]:
+        """Every column this configuration can make active, whatever the
+        predicate: the table's columns minus ``excluded_columns``, and
+        minus the categoricals when they are switched off."""
         excluded = set(config.excluded_columns)
-        if config.exclude_predicate_columns and selection.predicate is not None:
-            predicate_cols = selection.predicate.referenced_columns()
-            if predicate_cols:
-                notes.append("excluded predicate columns: "
-                             + ", ".join(sorted(predicate_cols)))
-            excluded |= predicate_cols
-        out: list[str] = []
-        for col in table.columns:
-            if col.name in excluded:
-                continue
-            if isinstance(col, CategoricalColumn) and not config.include_categorical:
-                continue
-            out.append(col.name)
-        return tuple(out)
+        return tuple(
+            col.name for col in table.columns
+            if col.name not in excluded
+            and (config.include_categorical
+                 or not isinstance(col, CategoricalColumn)))
+
+    @staticmethod
+    def _active_columns(selection: Selection, config: ZiggyConfig,
+                        pool: tuple[str, ...],
+                        notes: list[str]) -> tuple[str, ...]:
+        """The candidate columns ``pool`` minus the predicate's own
+        columns (when the configuration excludes them)."""
+        if not (config.exclude_predicate_columns
+                and selection.predicate is not None):
+            return pool
+        predicate_cols = selection.predicate.referenced_columns()
+        if predicate_cols:
+            notes.append("excluded predicate columns: "
+                         + ", ".join(sorted(predicate_cols)))
+        return tuple(c for c in pool if c not in predicate_cols)
 
     def _build_column_slices(self, selection: Selection,
                              columns: tuple[str, ...],
@@ -213,6 +227,7 @@ class PreparationEngine:
         return slices
 
     def _build_pair_slices(self, selection: Selection,
+                           pool: tuple[str, ...],
                            columns: tuple[str, ...],
                            slices: dict[str, ColumnSlice],
                            dependency: DependencyMatrix,
@@ -231,8 +246,16 @@ class PreparationEngine:
             corr_in, n_in, corr_out, n_out = answer
             notes.append("sketch tier answered pairwise correlations")
         else:
-            corr_in, n_in, corr_out, n_out = cache.group_correlations(
-                selection, numeric)
+            # Moments over the pool's numeric columns: one global entry
+            # per table and one inside entry per predicate, sliced here.
+            table = selection.table
+            pooled = tuple(c for c in pool if not isinstance(
+                table.column(c), CategoricalColumn))
+            position = {name: i for i, name in enumerate(pooled)}
+            grid = np.ix_([position[c] for c in numeric],
+                          [position[c] for c in numeric])
+            corr_in, n_in, corr_out, n_out = (
+                m[grid] for m in cache.group_correlations(selection, pooled))
         # Vectorized threshold scan over the dependency submatrix —
         # wide tables make a per-pair Python loop the bottleneck.
         dep_index = [dependency.index_of(c) for c in numeric]

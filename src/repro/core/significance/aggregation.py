@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from scipy import stats as sps
-
 from repro.errors import ConfigError
+from repro.stats.tests_ import chi2_sf
 
 
 def _validated(p_values: Sequence[float]) -> list[float]:
@@ -78,7 +77,7 @@ def fisher_combination(p_values: Sequence[float]) -> float:
     statistic = 0.0
     for p in ps:
         statistic += -2.0 * math.log(max(p, 1e-300))
-    return float(sps.chi2.sf(statistic, 2 * len(ps)))
+    return chi2_sf(statistic, 2 * len(ps))
 
 
 _SCHEMES = {

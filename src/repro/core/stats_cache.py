@@ -17,6 +17,30 @@ The cache exploits two algebraic facts:
    fingerprint, so re-running, refining the projection of, or re-ranking
    the same selection costs nothing.
 
+The dependency matrix and the pair moments are keyed by the column set
+they cover, and the preparation stage
+(:class:`~repro.core.preparation.PreparationEngine`) asks for them over
+every column its configuration can make active, whatever the predicate
+(the table's columns minus the configured exclusions; predicate columns
+stay in).  So they are computed **once per table and configuration**,
+not once per query, and each query reads an index slice of them.
+Every estimator behind them is pairwise — pairwise-deletion Pearson
+and Spearman, per-column NMI bins, Cramér's V, η, and the pair moments
+— so the slice for a column subset equals the subset computation.  The
+stores and their keys:
+
+* ``_column_stats`` — ``(fingerprint, column)``: whole-table summary of
+  one numeric column;
+* ``_global_moments`` — ``(fingerprint, columns)``: whole-table pair
+  moments over ``columns``;
+* ``_dependency`` — ``(fingerprint, method, bins, columns)``: the
+  dependency matrix over ``columns``;
+* ``_sketches`` — ``(fingerprint,)``: the sketch tier (below);
+* ``_inside_stats`` — ``(fingerprint, predicate, column)`` and
+  ``_inside_moments`` — ``(fingerprint, predicate, columns)``: the
+  selected rows' summaries and pair moments, the only per-predicate
+  stores.
+
 Tables are immutable in this engine, so cache entries never go stale.
 Entries are keyed by :meth:`~repro.engine.table.Table.fingerprint` — a
 content hash — so the cache holds **no reference to the tables
@@ -25,12 +49,14 @@ moments stay cached, and two loads of identical content share one set of
 entries.  (Earlier revisions pinned a strong reference per table to keep
 ``id(table)`` stable; that leaked every table the cache ever saw.)
 
-One bound keeps a long-lived shared cache healthy: the per-predicate
-stores (``_inside_stats`` / ``_inside_moments``) are LRU-capped at
-:attr:`StatsCache.max_inside_entries`, so a cache no longer retains
-every distinct predicate it ever saw.  How long a whole cache stays
-resident is the runtime's decision (:class:`~repro.runtime.ZiggyRuntime`
-evicts it with its table's entry).
+One bound keeps a long-lived shared cache healthy: the two per-predicate
+stores share a byte budget, :data:`INSIDE_BUDGET_BYTES`, and give up
+their least recently used entries beyond it.  The table-level stores
+hold a fixed number of entries per table and configuration, so a cache
+— and its snapshot — stops growing with the number of distinct
+predicates it has seen.  How long a whole cache stays resident is the
+runtime's decision (:class:`~repro.runtime.ZiggyRuntime` evicts it with
+its table's entry).
 
 The **sketch tier** sits underneath the exact stores.  Once
 :meth:`StatsCache.ensure_sketch` has built a
@@ -74,11 +100,23 @@ from repro.stats.sketches import (
     required_sample,
 )
 
-#: Default LRU cap for the per-predicate stores.  Each entry is a handful
-#: of scalars (summaries) or four small matrices (moments); 4096 distinct
-#: predicates per table is far beyond any interactive session while still
-#: bounding a long-lived shared cache.
-DEFAULT_MAX_INSIDE_ENTRIES = 4096
+#: Byte budget shared by the two per-predicate stores of one cache
+#: (``_inside_stats`` and ``_inside_moments``).  A us_crime predicate
+#: costs ~0.57 MB there (pair moments over 126 numeric columns plus one
+#: summary per column), so 40 MiB holds ~73 predicates: more than a
+#: session's history of 64 (``repro.app.session.HISTORY_LIMIT``).
+INSIDE_BUDGET_BYTES = 40 << 20
+
+#: Bytes charged per cached :class:`SummaryStats`: the object, its
+#: attribute dict and eight numbers.
+_SUMMARY_NBYTES = 512
+
+
+def _entry_nbytes(value) -> int:
+    """Bytes a per-predicate entry is charged against the budget."""
+    if isinstance(value, PairwiseMoments):
+        return value.nbytes
+    return _SUMMARY_NBYTES
 
 
 @dataclass
@@ -90,7 +128,7 @@ class CacheCounters:
     counts in *neither* ``hits`` nor ``misses`` — the exact-tier ratios
     keep their historical meaning), a fallback is a query the sketch's
     error bound could not decide.  ``inside_evictions`` counts entries
-    dropped by the per-predicate LRU cap.
+    dropped by the per-predicate byte budget.
     """
 
     column_hits: int = 0
@@ -152,16 +190,12 @@ class StatsCache:
     accessors and is counted in ``counters.sketch_fallbacks``.
 
     Args:
-        max_inside_entries: LRU cap on each per-predicate store
-            (``_inside_stats`` and ``_inside_moments`` are bounded
-            independently at this size).
         sketch_capacity: reservoir rows of the sketches
             :meth:`ensure_sketch` builds.
         sketch_seed: seed of the sketches' row reservoir.
     """
 
     counters: CacheCounters = field(default_factory=CacheCounters)
-    max_inside_entries: int = DEFAULT_MAX_INSIDE_ENTRIES
     sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
     sketch_seed: int = DEFAULT_SKETCH_SEED
 
@@ -169,46 +203,55 @@ class StatsCache:
     _STORES = ("_column_stats", "_inside_stats", "_global_moments",
                "_inside_moments", "_dependency", "_sketches")
 
-    #: Stores under the per-predicate LRU cap (insertion-ordered).
+    #: Stores under the per-predicate byte budget.
     _BOUNDED = frozenset({"_inside_stats", "_inside_moments"})
 
     #: Configuration carried by pickles and snapshots, with the defaults
     #: a pickle that lacks a field restores.
-    _CONFIG = {"max_inside_entries": DEFAULT_MAX_INSIDE_ENTRIES,
-               "sketch_capacity": DEFAULT_SKETCH_CAPACITY,
+    _CONFIG = {"sketch_capacity": DEFAULT_SKETCH_CAPACITY,
                "sketch_seed": DEFAULT_SKETCH_SEED}
 
     def __post_init__(self):
         self._lock = threading.RLock()
         self._column_stats: dict[tuple[str, str], SummaryStats] = {}
-        self._inside_stats: OrderedDict[tuple[str, str, str], SummaryStats] = OrderedDict()
+        self._inside_stats: dict[tuple[str, str, str], SummaryStats] = {}
         self._global_moments: dict[tuple[str, tuple[str, ...]], PairwiseMoments] = {}
-        self._inside_moments: OrderedDict[tuple[str, str, tuple[str, ...]], PairwiseMoments] = OrderedDict()
+        self._inside_moments: dict[tuple[str, str, tuple[str, ...]], PairwiseMoments] = {}
         self._dependency: dict[tuple[str, str, int, tuple[str, ...]], DependencyMatrix] = {}
         self._sketches: dict[tuple[str], TableSketch] = {}
+        self._reset_budget()
 
     # -- store plumbing ----------------------------------------------------------
+
+    def _reset_budget(self) -> None:
+        #: ``(store, key) -> charged bytes`` of every per-predicate
+        #: entry, least recently used first.
+        self._lru: OrderedDict[tuple[str, tuple], int] = OrderedDict()
+        self._inside_bytes = 0
 
     def _get(self, name: str, key: tuple):
         """Lookup that refreshes LRU position on bounded stores.  Caller
         holds the lock."""
-        store = getattr(self, name)
-        value = store.get(key)
+        value = getattr(self, name).get(key)
         if value is not None and name in self._BOUNDED:
-            store.move_to_end(key)
+            self._lru.move_to_end((name, key))
         return value
 
     def _put(self, name: str, key: tuple, value) -> None:
-        """Insert maintaining the LRU caps.  Caller holds the lock."""
-        store = getattr(self, name)
-        existed = key in store
-        store[key] = value
-        if name in self._BOUNDED:
-            if existed:
-                store.move_to_end(key)
-            while len(store) > self.max_inside_entries:
-                store.popitem(last=False)
-                self.counters.inside_evictions += 1
+        """Insert, then evict least recently used per-predicate entries
+        until they fit the budget.  Caller holds the lock."""
+        getattr(self, name)[key] = value
+        if name not in self._BOUNDED:
+            return
+        slot = (name, key)
+        charged = _entry_nbytes(value)
+        self._inside_bytes += charged - self._lru.pop(slot, 0)
+        self._lru[slot] = charged
+        while self._inside_bytes > INSIDE_BUDGET_BYTES and self._lru:
+            (victim, victim_key), size = self._lru.popitem(last=False)
+            del getattr(self, victim)[victim_key]
+            self._inside_bytes -= size
+            self.counters.inside_evictions += 1
 
     # -- serialization -----------------------------------------------------------
 
@@ -236,10 +279,11 @@ class StatsCache:
         for name, default in self._CONFIG.items():
             setattr(self, name, int(config.get(name, default)))
         self._lock = threading.RLock()
+        self._reset_budget()
         for name in self._STORES:
-            store = OrderedDict() if name in self._BOUNDED else {}
-            store.update(state.get(name) or {})
-            setattr(self, name, store)
+            setattr(self, name, {})
+            for key, value in (state.get(name) or {}).items():
+                self._put(name, key, value)
 
     def snapshot(self) -> "StatsCache":
         """A detached, picklable copy of this cache's current entries.
@@ -262,7 +306,7 @@ class StatsCache:
         parts) and every value is derived deterministically from its
         key, so two caches with equal signatures hold equal entries.
         This is the snapshot store's change detector: it catches a cache
-        whose capped stores evicted and replaced entries without the
+        whose budgeted stores evicted and replaced entries without the
         total count moving, which a size comparison cannot.
         Process-local (``hash`` of strings is seed-randomized) — never
         persist it.
@@ -417,6 +461,7 @@ class StatsCache:
         with self._lock:
             for name in self._STORES:
                 getattr(self, name).clear()
+            self._reset_budget()
 
     @property
     def size(self) -> int:

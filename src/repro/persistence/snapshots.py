@@ -20,11 +20,20 @@ stale statistics can never be attributed to new data.
 
 File format (one blob per fingerprint, ``snap-<fingerprint>.bin``)::
 
-    b"ZIGSNAP1\\n"    magic
+    b"ZIGSNAP2\\n"    magic
     uint32 BE        payload length
     uint32 BE        CRC-32 of the payload
     payload          pickle of {"fingerprint", "table", "entries",
                                 "saved_at", "cache": StatsCache}
+
+The cache holds the table's table-level entries (its sketch, column
+summaries, and the pair moments and dependency matrices over each
+configuration's candidate columns) plus the per-predicate entries its
+byte budget kept, so a blob stops growing once the budget is full.
+The magic names the format: ``ZIGSNAP1`` blobs, written when each
+query asked for table-level statistics over its own active columns,
+fail the check and take the corrupt-blob path (dropped, rewritten by
+the next pass).
 
 Pickle is acceptable here — unlike the journal, snapshots are pure
 derived state: a corrupt or untrusted blob is *dropped* (the cache
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 from repro.core.stats_cache import StatsCache
 
 #: Snapshot blob header.
-MAGIC = b"ZIGSNAP1\n"
+MAGIC = b"ZIGSNAP2\n"
 
 _FRAME = struct.Struct(">II")
 

@@ -33,7 +33,9 @@ The three callbacks a submission carries define the lifecycle contract:
     :class:`JobCancelled` from it requests cooperative cancellation
     (local backends abort the work at that point; the process backend
     relays a cancel message to the owning shard, which aborts at its
-    next stage boundary).
+    next stage boundary).  Passing :func:`no_listener` says that nobody
+    listens: a process shard then sends only the terminal message (it
+    still checks for a cancel at every stage boundary).
 ``finish(status, result, error)``
     invoked exactly once with the terminal outcome: ``("done", result,
     None)``, ``("failed", None, exc)`` or ``("cancelled", None, None)``.
@@ -119,6 +121,11 @@ class CharacterizationTask:
     def predicates(self) -> tuple:
         """The predicate(s) this task executes, in order."""
         return self.wheres if self.wheres else (self.where,)
+
+
+def no_listener(event) -> None:
+    """The ``progress`` of a submission nobody listens to: it drops
+    every event, and a process shard, recognizing it, never sends one."""
 
 
 def shard_index(routing_key: str, n_shards: int) -> int:

@@ -23,11 +23,14 @@ worker's **own** result pipe; a pump thread in the coordinating process
 waits on every pipe at once and replays the events into the
 submission's ``progress`` callback — in order, under the same kinds —
 so the job event log, partial-view capture and SSE streaming are
-byte-identical to a thread-backend run.  One pipe per worker (not
-one queue shared by all) is what makes a SIGKILL survivable: a worker
-killed mid-write takes only its own pipe down, where a shared queue's
-cross-process write lock would stay held by the dead writer and block
-every other shard, the replacement included.
+byte-identical to a thread-backend run.  A submission whose
+``progress`` is :func:`~repro.runtime.executors.base.no_listener` (a
+hookless batch or synchronous call) tells the shard so in its task
+message, and the worker then sends only the terminal message.  One
+pipe per worker (not one queue shared by all) is what makes a SIGKILL
+survivable: a worker killed mid-write takes only its own pipe down,
+where a shared queue's cross-process write lock would stay held by the
+dead writer and block every other shard, the replacement included.
 
 Cancellation crosses the boundary as a control message: when the
 coordinator's ``progress`` raises
@@ -84,6 +87,7 @@ from repro.runtime.executors.base import (
     ExecutorError,
     FinishFn,
     WorkerError,
+    no_listener,
     shard_index,
 )
 
@@ -205,7 +209,7 @@ def _worker_main(worker_id: int, tasks, control, results,
                     report((_REGISTER_FAILED, name, fingerprint,
                             _wire_exception(exc)))
             continue
-        _, task_id, task = message
+        _, task_id, task, relay = message
         with flag_lock:
             if task_id in cancelled:
                 cancelled.discard(task_id)
@@ -213,11 +217,15 @@ def _worker_main(worker_id: int, tasks, control, results,
                 continue
         report((_STARTED, task_id))
 
-        def progress(event: StageEvent, _task_id: int = task_id) -> None:
+        def progress(event: StageEvent, _task_id: int = task_id,
+                     _relay: bool = relay) -> None:
+            # The cancellation check runs at every stage boundary; the
+            # event crosses the pipe only when the submitter listens.
             with flag_lock:
                 if _task_id in cancelled:
                     raise JobCancelled(str(_task_id))
-            report((_EVENT, _task_id, compact_event(event)))
+            if _relay:
+                report((_EVENT, _task_id, compact_event(event)))
 
         try:
             result = context.run(task, progress=progress)
@@ -261,6 +269,12 @@ class _ProcessHandle(ExecutionHandle):
         self._attempt_started = False
         self._finished = threading.Event()
         self._cancel_sent = False
+
+    def message(self) -> tuple:
+        """The shard's task message; its last part says whether stage
+        events should cross the pipe (only when someone listens)."""
+        return ("task", self.task_id, self.task,
+                self.progress is not no_listener)
 
     # -- pump-side -----------------------------------------------------------
 
@@ -507,7 +521,7 @@ class ProcessShardExecutor(Executor):
                 # the respawn thread enqueues it once the worker is up.
                 self._parked[index].append(handle)
             else:
-                self._workers[index].tasks.put(("task", task_id, work))
+                self._workers[index].tasks.put(handle.message())
         return handle
 
     def _send_cancel(self, handle: _ProcessHandle) -> None:
@@ -790,7 +804,7 @@ class ProcessShardExecutor(Executor):
         except BaseException:  # noqa: BLE001 - never kill the respawn
             pass
         handle.reset_attempt()
-        worker.tasks.put(("task", handle.task_id, handle.task))
+        worker.tasks.put(handle.message())
         return True
 
     def _settle_respawn(self, index: int) -> None:
@@ -820,7 +834,7 @@ class ProcessShardExecutor(Executor):
                         self._pending.pop(handle.task_id, None)
                     handle.finish("cancelled", None, None)
                 else:
-                    worker.tasks.put(("task", handle.task_id, handle.task))
+                    worker.tasks.put(handle.message())
 
     def _abandon(self, handles: "list[_ProcessHandle]",
                  error: BaseException) -> None:

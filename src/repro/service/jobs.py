@@ -447,13 +447,14 @@ class JobManager:
     # -- durability --------------------------------------------------------------
 
     def _append_journal(self, record: dict,
-                        fallback: dict | None = None) -> None:
+                        fallback: Callable[[], dict] | None = None) -> None:
         """Append one record, absorbing faults into ``journal_errors``.
 
-        ``fallback`` is a stripped-down replacement for records whose
+        ``fallback`` builds a stripped-down replacement for records whose
         payload turned out not to be JSON-able — losing a result blob is
         survivable, losing the *status* record would resurrect the job
-        as in-flight on the next restart.
+        as in-flight on the next restart.  It is only called on that
+        failure: an event's fallback ``repr``-s its whole payload.
         """
         if self._journal is None:
             return
@@ -464,7 +465,7 @@ class JobManager:
             if fallback is not None:
                 try:
                     with self._journal_lock:
-                        self._journal.append(fallback)
+                        self._journal.append(fallback())
                     return
                 except Exception:  # noqa: BLE001 - counted below
                     pass
@@ -497,8 +498,8 @@ class JobManager:
         data = _wire_data(item)
         self._append_journal(
             event_record(job.job_id, seq, kind, data),
-            fallback=event_record(job.job_id, seq, kind,
-                                  {"info": repr(data)}))
+            fallback=lambda: event_record(job.job_id, seq, kind,
+                                          {"info": repr(data)}))
 
     def _journal_terminal(self, job: Job) -> None:
         """Append a job's terminal record (status + outcome + timings)."""
@@ -512,7 +513,7 @@ class JobManager:
         self._append_journal(
             state_record(job.job_id, status, result=_wire_result(result),
                          error=_wire_error(error), timings=timings),
-            fallback=state_record(job.job_id, status,
+            fallback=lambda: state_record(job.job_id, status,
                                   error=_wire_error(error),
                                   timings=timings))
 

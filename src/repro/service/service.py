@@ -49,6 +49,7 @@ from repro.runtime import (
     get_runtime,
     plan_batch,
 )
+from repro.runtime.executors.base import no_listener
 from repro.service.jobs import Job, JobManager
 from repro.service.protocol import (
     ApiError,
@@ -285,17 +286,14 @@ class ZiggyService:
         outcome: dict[str, Any] = {}
         done = threading.Event()
 
-        def relay(event: StageEvent) -> None:
-            if progress is not None:
-                progress(event)
-
         def finish(status: str, result: Any,
                    error: BaseException | None) -> None:
             outcome["terminal"] = (status, result, error)
             done.set()
 
-        self.executor.submit(unit, begin=lambda: None, progress=relay,
-                             finish=finish)
+        # No hook, no relay: a process shard then sends only the outcome.
+        self.executor.submit(unit, begin=lambda: None,
+                             progress=progress or no_listener, finish=finish)
         done.wait()
         status, result, error = outcome["terminal"]
         if status == "failed":
@@ -408,9 +406,8 @@ class ZiggyService:
                     config=config,
                     client_id=f"{request.client_id}@{self._instance}"),
                 begin=lambda: None,
-                # An executor's relay is always called, hook or not.
                 progress=(self._group_progress(group, progress)
-                          or (lambda _event: None)),
+                          or no_listener),
                 finish=finish)
             waiters.append((group, outcome, done))
         failure: BaseException | None = None

@@ -160,6 +160,12 @@ class PairwiseMoments:
         sxy = filled.T @ filled
         return cls(n=n, sx=sx, sxx=sxx, sxy=sxy)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the four moment matrices."""
+        return (self.n.nbytes + self.sx.nbytes + self.sxx.nbytes
+                + self.sxy.nbytes)
+
     def add(self, other: "PairwiseMoments") -> "PairwiseMoments":
         """Moments of the union of two disjoint row sets."""
         return PairwiseMoments(self.n + other.n, self.sx + other.sx,

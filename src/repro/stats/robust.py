@@ -9,6 +9,8 @@ here rather than mean/std.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import InsufficientDataError
@@ -92,10 +94,31 @@ def winsorize(values: np.ndarray, proportion: float = 0.05) -> np.ndarray:
     return np.clip(arr, lo, hi)
 
 
+def divides(scale: float, spread: float) -> bool:
+    """Whether ``scale`` is a usable divisor for deviations up to
+    ``spread``: positive, with ``spread / scale`` finite.
+
+    A MAD or IQR can be positive yet subnormal (ties plus one value of
+    ~1e-320), and dividing an ordinary deviation by it gives ``inf``;
+    scale cascades treat such a scale as degenerate, like zero or NaN.
+    """
+    return scale > 0.0 and math.isfinite(spread / scale)
+
+
+def finite_spread(values: np.ndarray, center: float) -> float:
+    """Largest distance from ``center`` to a finite value of ``values``
+    (0.0 when there is none): the deviation a scale must divide.  An
+    infinite value is left out, since no scale divides it.
+    """
+    finite = values[np.isfinite(values)]
+    return float(np.abs(finite - center).max()) if finite.size else 0.0
+
+
 def robust_zscores(values: np.ndarray) -> np.ndarray:
     """Median/MAD z-scores with NaNs preserved.
 
-    Degenerate scale (MAD == 0) falls back to the IQR, then to the
+    Degenerate scale (MAD == 0, or too small to divide the sample's
+    spread, see :func:`divides`) falls back to the IQR, then to the
     standard deviation, then to 1.0, so the result is always finite for
     finite inputs.  This cascade is what keeps component normalization
     stable on columns with many ties.
@@ -105,11 +128,12 @@ def robust_zscores(values: np.ndarray) -> np.ndarray:
     if data.size == 0:
         return arr.copy()
     center = float(np.median(data))
+    spread = finite_spread(data, center)
     scale = mad(data)
-    if scale <= 0.0:
+    if not divides(scale, spread):
         scale = iqr(data) / 1.349 if data.size >= 4 else 0.0
-    if scale <= 0.0:
+    if not divides(scale, spread):
         scale = float(np.std(data, ddof=1)) if data.size >= 2 else 0.0
-    if scale <= 0.0 or scale != scale:
+    if not divides(scale, spread):
         scale = 1.0
     return (arr - center) / scale

@@ -15,6 +15,7 @@ from repro.core.dissimilarity import (
 )
 from repro.core.views import ComponentScore, View
 from repro.errors import ConfigError
+from repro.stats.robust import mad
 
 
 class TestBuildNormalizer:
@@ -23,6 +24,18 @@ class TestBuildNormalizer:
         norm = build_normalizer(population, "robust_z")
         assert norm.normalize(2.0) > 5.0          # clear outlier
         assert norm.normalize(0.1) < 1.0           # typical value
+
+    def test_robust_z_subnormal_scale_falls_through(self):
+        # MAD 0, IQR subnormal: the population standard deviation scales.
+        population = [0.0, 0.0, 0.0, 1e-320, 1e6]
+        norm = build_normalizer(population, "robust_z")
+        assert norm.scale == pytest.approx(np.std(population))
+        assert np.isfinite(norm.normalize(1e6))
+
+    def test_robust_z_infinite_raw_keeps_the_mad(self):
+        population = [0.0, 10.0, 20.0, 30.0, float("inf")]
+        norm = build_normalizer(population, "robust_z")
+        assert norm.scale == mad(np.array(population))
 
     def test_robust_z_sign_insensitive(self):
         norm = build_normalizer([0.5, -0.5, 0.4, -0.6], "robust_z")

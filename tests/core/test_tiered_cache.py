@@ -1,5 +1,6 @@
 """Tests for the statistics cache's sketch tier: sketch answers, exact
-fallback, LRU bounding, and snapshot/merge/pickle transport."""
+fallback, the per-predicate byte budget, and snapshot/merge/pickle
+transport."""
 
 import pickle
 
@@ -145,10 +146,9 @@ class TestTransport:
         assert clone.sketch_for(big_table.fingerprint()) is not None
 
     def test_pickle_round_trip(self, big_table):
-        cache = StatsCache(max_inside_entries=77, sketch_capacity=512)
+        cache = StatsCache(sketch_capacity=512)
         cache.ensure_sketch(big_table)
         clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_inside_entries == 77
         assert clone.sketch_capacity == 512
         sketch = clone.sketch_for(big_table.fingerprint())
         assert sketch is not None and sketch.sample_size == 512
@@ -161,10 +161,18 @@ class TestTransport:
         assert cold.sketch_for(big_table.fingerprint()) is not None
 
 
+def budget_of(monkeypatch, summaries: int) -> None:
+    """Shrink the per-predicate budget to room for ``summaries``
+    summaries."""
+    monkeypatch.setattr(stats_cache, "INSIDE_BUDGET_BYTES",
+                        summaries * stats_cache._SUMMARY_NBYTES)
+
+
 class TestBounding:
-    def test_inside_stores_lru_capped(self):
+    def test_inside_stores_lru_capped(self, monkeypatch):
+        budget_of(monkeypatch, 10)
         table = make_table(300, name="lru_t")
-        cache = StatsCache(max_inside_entries=10)
+        cache = StatsCache()
         mask = np.zeros(table.n_rows, dtype=bool)
         mask[:50] = True
         for i in range(25):
@@ -172,10 +180,12 @@ class TestBounding:
             cache.inside_column_stats(sel, "x")
         assert len(cache._inside_stats) == 10
         assert cache.counters.inside_evictions == 15
+        assert cache._inside_bytes == stats_cache.INSIDE_BUDGET_BYTES
 
-    def test_lru_keeps_recently_used(self):
+    def test_lru_keeps_recently_used(self, monkeypatch):
+        budget_of(monkeypatch, 2)
         table = make_table(300, name="lru_t2")
-        cache = StatsCache(max_inside_entries=2)
+        cache = StatsCache()
         sels = [selection_from_mask(
             table, np.arange(table.n_rows) % (i + 2) == 0, label=str(i))
             for i in range(3)]

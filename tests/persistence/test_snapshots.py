@@ -4,6 +4,7 @@ verification, corruption tolerance, change detection."""
 import os
 
 from repro.core.stats_cache import StatsCache
+from repro.persistence import snapshots
 from repro.persistence.snapshots import SnapshotStore
 from repro.runtime import ZiggyRuntime
 from repro.service import CharacterizeRequest, ZiggyService
@@ -164,6 +165,43 @@ class TestUpgrade:
         finally:
             service.shutdown()  # the drain-time pass rewrites the blob
         assert SnapshotStore(store.root).load(fingerprint) is not None
+
+    def test_blob_of_per_query_entries_is_dropped_and_rewritten(
+            self, tmp_path, boxoffice_small, monkeypatch):
+        # A ZIGSNAP1 blob: table-level entries over one query's active
+        # columns (its predicate column, gross, left out).
+        state_dir = str(tmp_path / "state")
+        store = SnapshotStore(os.path.join(state_dir, "snapshots"))
+        fingerprint = boxoffice_small.fingerprint()
+        table = boxoffice_small
+        active = tuple(c for c in table.column_names if c != "gross")
+        numeric = tuple(c for c in table.numeric_column_names()
+                        if c != "gross")
+        cache = warmed_cache(table)
+        cache.dependency_matrix(table, active, "pearson", 8)
+        cache.global_moments(table, numeric)
+        with monkeypatch.context() as patched:
+            patched.setattr(snapshots, "MAGIC", b"ZIGSNAP1\n")
+            assert store.save(fingerprint, cache)
+        service = ZiggyService(executor="inline", state_dir=state_dir,
+                               snapshot_interval=0, runtime=ZiggyRuntime())
+        try:
+            service.register_table(table)
+            assert service.state.snapshots.counters.corrupt == 1
+            response = service.characterize(CharacterizeRequest(
+                where="gross > 200000000", table=table.name))
+            assert response.n_views > 0
+        finally:
+            service.shutdown()  # the drain-time pass rewrites the blob
+        with open(store._path(fingerprint), "rb") as fh:
+            assert fh.read().startswith(snapshots.MAGIC)
+        rewritten = SnapshotStore(store.root).load(fingerprint)
+        # Only the entries the query asked for: over every column the
+        # default configuration can make active, gross included.
+        assert [key[-1] for key in rewritten._dependency] == \
+            [table.column_names]
+        assert [key[-1] for key in rewritten._global_moments] == \
+            [table.numeric_column_names()]
 
 
 class TestStartupHygiene:

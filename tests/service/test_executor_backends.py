@@ -223,26 +223,45 @@ def test_on_progress_sees_the_logged_kinds(backend, crime_table):
         service.shutdown(wait=False)
 
 
-def test_hookless_batch_hands_the_process_backend_callable_relays(
+def test_hookless_submissions_send_no_events_over_the_shard_pipe(
         boxoffice_small, monkeypatch):
-    """The process pump calls ``progress`` for every relayed event, so
-    a batch without a hook must still hand it a callable."""
+    """Without a hook nobody listens, so a shard sends only the outcome;
+    a job, whose event log listens, still gets every stage event.  Every
+    submission still hands the executor a callable ``progress`` (the
+    hookless ones pass ``no_listener``), so wrappers around ``submit``
+    can call it unconditionally."""
     service = make_service("process", boxoffice_small, max_workers=1)
-    received = []
-    submit = service.executor.submit
+    executor = service.executor
+    events, relays = [], []
+    dispatch, submit = executor._dispatch, executor.submit
+
+    def counting_dispatch(message):
+        if message[0] == "event":
+            events.append(message[1])
+        dispatch(message)
 
     def recording_submit(work, *, begin, progress, finish):
-        received.append(progress)
+        relays.append(progress)
         return submit(work, begin=begin, progress=progress, finish=finish)
 
-    monkeypatch.setattr(service.executor, "submit", recording_submit)
+    monkeypatch.setattr(executor, "_dispatch", counting_dispatch)
+    monkeypatch.setattr(executor, "submit", recording_submit)
     try:
         batch = service.characterize_many(BatchRequest(
             predicates=("gross > 150000000", "gross > 250000000")))
+        assert len(batch.results) == 2
+        assert events == []
+        response = service.characterize(CharacterizeRequest(
+            where="gross > 200000000"))
+        assert response.n_views > 0
+        assert events == []
+        snapshot = service.submit(CharacterizeRequest(
+            where="gross > 100000000"))
+        assert service.wait(snapshot.job_id, timeout=120).status == "done"
+        assert len(events) > 0
     finally:
         service.shutdown(wait=False)
-    assert len(batch.results) == 2
-    assert received and all(callable(p) for p in received)
+    assert len(relays) == 3 and all(callable(p) for p in relays)
 
 
 class TestJobRetention:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.events import StageEvent
 from repro.errors import JobCancelled, JobNotFoundError
+from repro.persistence.journal import JobJournal
 from repro.service.jobs import JobManager
 
 
@@ -127,3 +128,38 @@ class TestCancellation:
         job = manager.wait(manager.submit(work), timeout=5)
         assert job.status == "cancelled"
         assert seen
+
+
+class TestJournal:
+    def test_fallback_record_is_built_only_for_an_event_that_fails_to_encode(
+            self, tmp_path):
+        reprs = []
+
+        class Traced(str):
+            def __repr__(self):
+                reprs.append(str(self))
+                return str.__repr__(self)
+
+        class Opaque:
+            def __repr__(self):
+                return "<opaque>"
+
+        def work(progress):
+            progress(StageEvent("note", {"label": Traced("fine")}))
+            progress(StageEvent("note", {"thing": Opaque()}))
+            return "ok"
+
+        journal = JobJournal(str(tmp_path), fsync="never")
+        manager = JobManager(max_workers=1, journal=journal)
+        try:
+            job = manager.wait(manager.submit(work), timeout=5)
+        finally:
+            manager.shutdown(wait=True)
+        assert job.status == "done"
+        # The encodable event never rendered a stand-in for itself.
+        assert reprs == []
+        records, _ = journal.replay()
+        journal.close()
+        assert [r["data"] for r in records if r["t"] == "event"] == [
+            {"label": "fine"}, {"info": "{'thing': <opaque>}"}]
+        assert manager.journal_errors == 0

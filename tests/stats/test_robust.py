@@ -99,6 +99,23 @@ class TestRobustZscores:
         z = robust_zscores(np.full(10, 2.0))
         assert np.all(z == 0.0)
 
+    def test_subnormal_scale_falls_through(self):
+        # MAD is 0 and the IQR is a subnormal 1e-320: dividing 1e6 by
+        # it overflows, so the cascade moves on to the standard deviation.
+        data = np.array([0.0, 0.0, 0.0, 1e-320, 1e6])
+        with np.errstate(over="raise", divide="raise"):
+            z = robust_zscores(data)
+        assert np.all(np.isfinite(z))
+        assert z[-1] == pytest.approx(1e6 / np.std(data, ddof=1))
+
+    def test_infinite_value_keeps_the_mad(self):
+        # The spread a scale must divide covers the finite values only:
+        # no scale divides inf, so counting it would discard the MAD.
+        data = np.array([0.0, 10.0, 20.0, 30.0, np.inf])
+        z = robust_zscores(data)
+        np.testing.assert_allclose(z[:4], (data[:4] - 20.0) / mad(data))
+        assert z[-1] == np.inf
+
     def test_empty_passthrough(self):
         z = robust_zscores(np.array([]))
         assert z.size == 0
