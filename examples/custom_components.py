@@ -5,6 +5,12 @@ indicators and weight them.  This example adds a tail-weight component
 (does the selection have heavier tails than the rest?) and registers a
 phrase rule so explanations speak about it natively.
 
+A component implements ``compute`` for one slice.  The preparation stage
+calls ``compute_batch`` once per query with every slice the component
+applies to; overriding it is optional, and the default loops over
+``compute`` (the built-in numeric components override it with array
+code).
+
 Run:  python examples/custom_components.py
 """
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,13 @@ class ZigComponent:
     Returning ``None`` — rather than raising — is the contract because
     sliced exploration data is full of constant and near-empty columns
     and a single bad column must never abort characterization.
+
+    The preparation stage calls :meth:`compute_batch` once per query
+    with every applicable slice.  Overriding it is optional: the default
+    loops over :meth:`compute`.  The built-in numeric components
+    override it with array code (one numpy pass over all columns or
+    pairs instead of Python work per slice) and define :meth:`compute`
+    as the batch of one.
     """
 
     name: str = ""
@@ -102,6 +110,12 @@ class ZigComponent:
     def compute(self, data: ColumnSlice | PairSlice) -> ComponentOutcome | None:
         """Evaluate the component on one slice; None when inapplicable."""
         raise NotImplementedError
+
+    def compute_batch(self, slices: Sequence[ColumnSlice | PairSlice]
+                      ) -> list[ComponentOutcome | None]:
+        """Evaluate the component on many slices: one outcome (or None)
+        per slice, in order."""
+        return [self.compute(data) for data in slices]
 
     def applicable(self, data: ColumnSlice | PairSlice) -> bool:
         """Type-level applicability check (data-level checks in compute)."""

@@ -8,10 +8,13 @@ correlation coefficients involves two columns."
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+import numpy as np
+
 from repro.core.components.base import ComponentOutcome, PairSlice, ZigComponent
-from repro.errors import StatsError
-from repro.stats.effect_sizes import correlation_gap
-from repro.stats.tests_ import fisher_z_test
+from repro.stats.correlation import fisher_z_batch
+from repro.stats.tests_ import fisher_z_test_batch
 
 
 class CorrelationShiftComponent(ZigComponent):
@@ -30,29 +33,39 @@ class CorrelationShiftComponent(ZigComponent):
     min_pairs = 4
 
     def compute(self, data: PairSlice) -> ComponentOutcome | None:
-        if data.n_inside < self.min_pairs or data.n_outside < self.min_pairs:
-            return None
-        r_in, r_out = data.r_inside, data.r_outside
-        if r_in != r_in or r_out != r_out:
-            return None
-        try:
-            gap = correlation_gap(None, None, None, None,
-                                  precomputed=(r_in, r_out))
-            test = fisher_z_test(r_in, data.n_inside, r_out, data.n_outside)
-        except StatsError:
-            return None
-        if abs(r_in) >= abs(r_out):
-            direction = "stronger" if r_in * r_out >= 0 else "reversed"
-        else:
-            direction = "weaker"
-        return ComponentOutcome(
-            raw=gap,
-            direction=direction,
-            test=test,
-            detail={
-                "r_inside": r_in,
-                "r_outside": r_out,
-                "n_inside": data.n_inside,
-                "n_outside": data.n_outside,
-            },
-        )
+        return self.compute_batch([data])[0]
+
+    def compute_batch(self, slices: Sequence[PairSlice]
+                      ) -> list[ComponentOutcome | None]:
+        outcomes: list[ComponentOutcome | None] = [None] * len(slices)
+        chosen = [i for i, data in enumerate(slices)
+                  if data.n_inside >= self.min_pairs
+                  and data.n_outside >= self.min_pairs
+                  and data.r_inside == data.r_inside
+                  and data.r_outside == data.r_outside]
+        if not chosen:
+            return outcomes
+        r_in, r_out, n_in, n_out = np.array(
+            [(slices[i].r_inside, slices[i].r_outside, slices[i].n_inside,
+              slices[i].n_outside) for i in chosen], dtype=np.float64).T
+        gap = fisher_z_batch(r_in) - fisher_z_batch(r_out)
+        tests = fisher_z_test_batch(r_in, n_in, r_out, n_out).results()
+        for i, gap_i, test in zip(chosen, gap.tolist(), tests):
+            data = slices[i]
+            ri, ro = data.r_inside, data.r_outside
+            if abs(ri) >= abs(ro):
+                direction = "stronger" if ri * ro >= 0 else "reversed"
+            else:
+                direction = "weaker"
+            outcomes[i] = ComponentOutcome(
+                raw=gap_i,
+                direction=direction,
+                test=test,
+                detail={
+                    "r_inside": ri,
+                    "r_outside": ro,
+                    "n_inside": data.n_inside,
+                    "n_outside": data.n_outside,
+                },
+            )
+        return outcomes

@@ -7,10 +7,27 @@ the difference of missing-value rates is a component of its own.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+import numpy as np
+
 from repro.core.components.base import ColumnSlice, ComponentOutcome, ZigComponent
-from repro.errors import StatsError
-from repro.stats.effect_sizes import proportion_gap
-from repro.stats.tests_ import two_proportion_z_test
+from repro.stats.tests_ import two_proportion_z_batch
+
+
+def _missing_counts(data: ColumnSlice) -> tuple[int, int, int, int] | None:
+    """``(k_in, n_in, k_out, n_out)``: missing and total counts per group."""
+    if data.is_categorical:
+        pi, po = data.inside_profile, data.outside_profile
+        if pi is None or po is None:
+            return None
+        return (pi.n_missing, pi.n + pi.n_missing,
+                po.n_missing, po.n + po.n_missing)
+    data.ensure_stats()
+    a, b = data.inside_stats, data.outside_stats
+    if a is None or b is None:
+        return None
+    return a.n_missing, a.total, b.n_missing, b.total
 
 
 class MissingShiftComponent(ZigComponent):
@@ -28,34 +45,36 @@ class MissingShiftComponent(ZigComponent):
     applies_to_categorical = True
 
     def compute(self, data: ColumnSlice) -> ComponentOutcome | None:
-        if data.is_categorical:
-            pi, po = data.inside_profile, data.outside_profile
-            if pi is None or po is None:
-                return None
-            k_in, n_in = pi.n_missing, pi.n + pi.n_missing
-            k_out, n_out = po.n_missing, po.n + po.n_missing
-        else:
-            data.ensure_stats()
-            a, b = data.inside_stats, data.outside_stats
-            if a is None or b is None:
-                return None
-            k_in, n_in = a.n_missing, a.total
-            k_out, n_out = b.n_missing, b.total
-        if n_in == 0 or n_out == 0:
-            return None
-        if k_in == 0 and k_out == 0:
-            return None
-        try:
-            gap = proportion_gap(k_in, n_in, k_out, n_out)
-            test = two_proportion_z_test(k_in, n_in, k_out, n_out)
-        except StatsError:
-            return None
-        return ComponentOutcome(
-            raw=gap,
-            direction="higher" if gap >= 0 else "lower",
-            test=test,
-            detail={
-                "rate_inside": k_in / n_in,
-                "rate_outside": k_out / n_out,
-            },
-        )
+        return self.compute_batch([data])[0]
+
+    def compute_batch(self, slices: Sequence[ColumnSlice]
+                      ) -> list[ComponentOutcome | None]:
+        outcomes: list[ComponentOutcome | None] = [None] * len(slices)
+        chosen, counts = [], []
+        for i, data in enumerate(slices):
+            found = _missing_counts(data)
+            if found is None:
+                continue
+            k_in, n_in, k_out, n_out = found
+            if n_in == 0 or n_out == 0 or (k_in == 0 and k_out == 0):
+                continue
+            chosen.append(i)
+            counts.append(found)
+        if not chosen:
+            return outcomes
+        k_in, n_in, k_out, n_out = np.array(counts, dtype=np.float64).T
+        rate_in, rate_out = k_in / n_in, k_out / n_out
+        tests = two_proportion_z_batch(k_in, n_in, k_out, n_out).results()
+        for i, r_in, r_out, test in zip(chosen, rate_in.tolist(),
+                                        rate_out.tolist(), tests):
+            gap = r_in - r_out
+            outcomes[i] = ComponentOutcome(
+                raw=gap,
+                direction="higher" if gap >= 0 else "lower",
+                test=test,
+                detail={
+                    "rate_inside": r_in,
+                    "rate_outside": r_out,
+                },
+            )
+        return outcomes

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.components.base import (
     ColumnSlice,
+    ComponentOutcome,
     ComponentRegistry,
     DEFAULT_COMPONENTS,
     PairSlice,
@@ -32,7 +33,7 @@ from repro.core.stats_cache import StatsCache
 from repro.engine.column import CategoricalColumn
 from repro.engine.database import Selection
 from repro.engine.table import Table
-from repro.errors import EmptySelectionError
+from repro.errors import ComponentError, EmptySelectionError
 from repro.stats.histogram import FrequencyProfile
 
 
@@ -178,8 +179,10 @@ class PreparationEngine:
                              notes: list[str]) -> dict[str, ColumnSlice]:
         table = selection.table
         mask = selection.mask
-        sketched = 0
-        numeric_total = 0
+        numeric = [name for name in columns
+                   if not isinstance(table.column(name), CategoricalColumn)]
+        answers = cache.sketch_column_answer(selection, numeric,
+                                             config.sketch_margin) or {}
         slices: dict[str, ColumnSlice] = {}
         for name in columns:
             col = table.column(name)
@@ -193,9 +196,7 @@ class PreparationEngine:
                     outside_profile=_profile_from_codes(col, ~mask),
                 )
                 continue
-            numeric_total += 1
-            answer = cache.sketch_column_answer(selection, name,
-                                                config.sketch_margin)
+            answer = answers.get(name)
             if answer is not None:
                 inside_stats, outside_stats, sample_in, sample_out = answer
                 # Raw arrays are the *sampled* rows: raw-value tests
@@ -209,7 +210,6 @@ class PreparationEngine:
                     inside_stats=inside_stats,
                     outside_stats=outside_stats,
                 )
-                sketched += 1
                 continue
             values = col.numeric_values()
             slices[name] = ColumnSlice(
@@ -220,9 +220,9 @@ class PreparationEngine:
                 inside_stats=cache.inside_column_stats(selection, name),
                 outside_stats=cache.outside_column_stats(selection, name),
             )
-        if sketched:
+        if answers:
             notes.append(
-                f"sketch tier answered {sketched}/{numeric_total} numeric "
+                f"sketch tier answered {len(answers)}/{len(numeric)} numeric "
                 f"columns (margin {config.sketch_margin})")
         return slices
 
@@ -287,27 +287,11 @@ class PreparationEngine:
         unary = [(c, w) for c, w in chosen if c.arity == 1]
         pairwise = [(c, w) for c, w in chosen if c.arity == 2]
 
-        # Pass 1: raw outcomes.
-        unary_outcomes: dict[str, list[tuple[str, object]]] = {}
-        for component, _ in unary:
-            rows: list[tuple[str, object]] = []
-            for name, data in slices.items():
-                if not component.applicable(data):
-                    continue
-                outcome = component.compute(data)
-                if outcome is not None:
-                    rows.append((name, outcome))
-            unary_outcomes[component.name] = rows
-        pair_outcomes: dict[str, list[tuple[tuple[str, str], object]]] = {}
-        for component, _ in pairwise:
-            rows2: list[tuple[tuple[str, str], object]] = []
-            for key, data in pair_slices.items():
-                if not component.applicable(data):
-                    continue
-                outcome = component.compute(data)
-                if outcome is not None:
-                    rows2.append((key, outcome))
-            pair_outcomes[component.name] = rows2
+        # Pass 1: raw outcomes, one batch per component.
+        unary_outcomes = {component.name: _score(component, slices)
+                          for component, _ in unary}
+        pair_outcomes = {component.name: _score(component, pair_slices)
+                         for component, _ in pairwise}
 
         # Pass 2: fit normalizers on each component's population and emit
         # the final scores (the paper's "normalize, then weighted sum").
@@ -332,6 +316,20 @@ class PreparationEngine:
         catalog.notes.append(f"evaluated {evaluated} component instances")
         notes.extend(catalog.notes)
         return catalog
+
+
+def _score(component: ZigComponent,
+           slices: dict) -> list[tuple[object, ComponentOutcome]]:
+    """``(key, outcome)`` for every slice the component applies to and
+    scores, from one :meth:`~ZigComponent.compute_batch` call."""
+    keys = [key for key, data in slices.items() if component.applicable(data)]
+    outcomes = component.compute_batch([slices[key] for key in keys])
+    if len(outcomes) != len(keys):
+        raise ComponentError(
+            f"component {component.name!r} returned {len(outcomes)} "
+            f"outcomes for {len(keys)} slices")
+    return [(key, outcome) for key, outcome in zip(keys, outcomes)
+            if outcome is not None]
 
 
 def _profile_from_codes(col: CategoricalColumn, mask: np.ndarray) -> FrequencyProfile:

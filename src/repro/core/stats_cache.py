@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -92,7 +93,11 @@ from repro.core.profiling import PROFILER
 from repro.engine.database import Selection
 from repro.engine.table import Table
 from repro.stats.correlation import PairwiseMoments
-from repro.stats.descriptive import SummaryStats, summarize
+from repro.stats.descriptive import (
+    SummaryStats,
+    summarize,
+    summarize_columns,
+)
 from repro.stats.sketches import (
     DEFAULT_SKETCH_CAPACITY,
     DEFAULT_SKETCH_SEED,
@@ -177,8 +182,9 @@ class StatsCache:
     :meth:`ensure_sketch` ran for it (or a sketch arrived through
     :meth:`merge_from`):
 
-    * :meth:`sketch_column_answer` gates on the non-missing sample count
-      inside **and** outside reaching
+    * :meth:`sketch_column_answer` answers all of a query's numeric
+      columns in one masked pass, gating each column on its non-missing
+      sample count inside **and** outside reaching
       :func:`~repro.stats.sketches.required_sample` for the margin;
     * :meth:`sketch_group_correlations` gates the same way on sampled
       row counts.
@@ -186,8 +192,9 @@ class StatsCache:
     Tables at or under ``sketch_capacity`` rows return ``None`` from both
     (``covers_all``): the exact tier is already cheap there and stays
     authoritative, so small-table results are bit-identical with or
-    without a sketch.  Every undecided answer falls back to the exact
-    accessors and is counted in ``counters.sketch_fallbacks``.
+    without a sketch.  Every undecided column or correlation answer
+    falls back to the exact accessors and is counted in
+    ``counters.sketch_fallbacks``.
 
     Args:
         sketch_capacity: reservoir rows of the sketches
@@ -501,42 +508,56 @@ class StatsCache:
 
     # -- sketch answers ----------------------------------------------------------
 
-    def sketch_column_answer(self, selection: Selection, column: str,
-                             max_margin: float) -> tuple[
+    def sketch_column_answer(self, selection: Selection,
+                             columns: Sequence[str],
+                             max_margin: float) -> dict[str, tuple[
                                  SummaryStats, SummaryStats,
-                                 np.ndarray, np.ndarray] | None:
-        """Inside/outside summaries of one column from the sketch sample.
+                                 np.ndarray, np.ndarray]] | None:
+        """Inside/outside summaries of many columns from the sketch sample.
 
-        Returns ``(inside_stats, outside_stats, inside_sample,
-        outside_sample)`` — summaries carry the *observed sample* counts
-        (honest: every downstream significance test then runs at the
-        sample size actually seen, which is conservative), and the sample
-        arrays let raw-value tests (Levene, Mann-Whitney) run on the
-        sampled rows.  Returns None when the sketch is missing, the table
-        is small enough that the exact tier is authoritative
-        (``covers_all``), or either group's non-missing sample count is
-        below ``required_sample(max_margin)`` — the lazy exact fallback.
+        One mask of the sampled rows and one masked pass over the
+        sketch's sample matrix answer every column at once.  Each
+        answered column maps to ``(inside_stats, outside_stats,
+        inside_sample, outside_sample)``: the summaries carry the
+        *observed sample* counts (honest: every downstream significance
+        test then runs at the sample size actually seen, which is
+        conservative), and the samples, views of the masked matrix, let
+        raw-value tests (Levene, Mann-Whitney) run on the sampled rows.
+
+        The error bound gates each column on its own: one whose
+        non-missing sample count inside or outside is below
+        ``required_sample(max_margin)`` is left out for the exact tier
+        and counted in ``sketch_fallbacks``; each answered column counts
+        one ``sketch_hit``.  Returns None when no column is answered:
+        the sketch is missing, the table is small enough that the exact
+        tier is authoritative (``covers_all``), no column is sketched,
+        or every column fell back.
         """
         sketch = self.sketch_for(self._key(selection.table))
         if sketch is None or sketch.covers_all:
             return None
-        col = sketch.columns.get(column)
-        if col is None or selection.mask.size != sketch.n_rows:
+        if selection.mask.size != sketch.n_rows:
+            return None
+        names = [c for c in columns if c in sketch.columns]
+        if not names:
             return None
         k_req = required_sample(max_margin)
         with PROFILER.timer("kernel.sketch_answer"):
+            # The pass covers every sketched column: gathering the named
+            # columns first would cost more than the few extra ones.
             inside_mask = sketch.sample_mask(selection.mask)
-            values_in = col.sample[inside_mask]
-            values_out = col.sample[~inside_mask]
-            inside = summarize(values_in)
-            outside = summarize(values_out)
-        if inside.n < k_req or outside.n < k_req:
-            with self._lock:
-                self.counters.sketch_fallbacks += 1
-            return None
+            values_in = sketch.samples[inside_mask]
+            values_out = sketch.samples[~inside_mask]
+            inside = summarize_columns(values_in)
+            outside = summarize_columns(values_out)
+        answers = {
+            name: (inside[j], outside[j], values_in[:, j], values_out[:, j])
+            for name, j in zip(names, sketch.positions(names))
+            if inside[j].n >= k_req and outside[j].n >= k_req}
         with self._lock:
-            self.counters.sketch_hits += 1
-        return inside, outside, values_in, values_out
+            self.counters.sketch_hits += len(answers)
+            self.counters.sketch_fallbacks += len(names) - len(answers)
+        return answers or None
 
     def sketch_group_correlations(self, selection: Selection,
                                   columns: tuple[str, ...],
@@ -546,11 +567,15 @@ class StatsCache:
         """``(corr_in, n_in, corr_out, n_out)`` from the sketch sample.
 
         The reservoir is row-aligned across columns, so the sampled
-        inside/outside sub-matrices feed the same four-GEMM pairwise
-        estimator the exact tier uses — at O(sample x M^2) instead of
-        O(rows x M^2).  Pair counts are the observed sample counts.
-        Returns None under the same conditions as
-        :meth:`sketch_column_answer`.
+        inside rows feed the same four-GEMM pairwise estimator the exact
+        tier uses — at O(sample x M^2) instead of O(rows x M^2) — and,
+        as on the exact tier, the outside moments are a subtraction: the
+        sketch's whole-sample moments (computed once, with the sketch)
+        minus the inside ones.  Pair counts are the observed sample
+        counts.  Returns None when the sketch is missing, the table is
+        small enough that the exact tier is authoritative
+        (``covers_all``), a column is not sketched, or either group's
+        sampled row count is below ``required_sample(max_margin)``.
         """
         sketch = self.sketch_for(self._key(selection.table))
         if sketch is None or sketch.covers_all:
@@ -568,11 +593,12 @@ class StatsCache:
                 self.counters.sketch_fallbacks += 1
             return None
         with PROFILER.timer("kernel.sketch_answer"):
-            mat = sketch.sample_matrix(columns)
-            corr_in, n_in = PairwiseMoments.from_matrix(
-                mat[inside_mask]).correlations()
-            corr_out, n_out = PairwiseMoments.from_matrix(
-                mat[~inside_mask]).correlations()
+            inside = PairwiseMoments.from_matrix(
+                sketch.samples[inside_mask] - sketch.center)
+            outside = sketch.sample_moments.subtract(inside)
+            index = sketch.positions(columns)
+            corr_in, n_in = inside.restrict(index).correlations()
+            corr_out, n_out = outside.restrict(index).correlations()
         with self._lock:
             self.counters.sketch_hits += 1
         return corr_in, n_in, corr_out, n_out

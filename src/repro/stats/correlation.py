@@ -13,6 +13,7 @@ columns.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -113,6 +114,11 @@ def fisher_z(r: float) -> float:
     return math.atanh(r)
 
 
+def fisher_z_batch(r: np.ndarray) -> np.ndarray:
+    """:func:`fisher_z` over an array of correlations."""
+    return np.arctanh(np.clip(r, -_FISHER_CLAMP, _FISHER_CLAMP))
+
+
 def inverse_fisher_z(z: float) -> float:
     """Inverse Fisher transform ``tanh(z)``."""
     return math.tanh(float(z))
@@ -165,6 +171,12 @@ class PairwiseMoments:
         """Bytes held by the four moment matrices."""
         return (self.n.nbytes + self.sx.nbytes + self.sxx.nbytes
                 + self.sxy.nbytes)
+
+    def restrict(self, index: Sequence[int]) -> "PairwiseMoments":
+        """The moments of the columns at ``index``, in that order."""
+        grid = np.ix_(index, index)
+        return PairwiseMoments(self.n[grid], self.sx[grid], self.sxx[grid],
+                               self.sxy[grid])
 
     def add(self, other: "PairwiseMoments") -> "PairwiseMoments":
         """Moments of the union of two disjoint row sets."""

@@ -220,6 +220,32 @@ def summarize(values: np.ndarray) -> SummaryStats:
     )
 
 
+def summarize_columns(matrix: np.ndarray) -> list[SummaryStats]:
+    """:func:`summarize` of every column of a 2-d array, in one pass.
+
+    Column sums run down the rows, so the last bits of a moment can
+    differ from :func:`summarize`'s pairwise sums of the same values.
+    """
+    mat = np.asarray(matrix, dtype=np.float64)
+    missing = np.isnan(mat)
+    n = mat.shape[0] - np.count_nonzero(missing, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        dev = np.where(missing, 0.0, mat)
+        mean = dev.sum(axis=0) / n
+        dev -= mean
+        np.copyto(dev, 0.0, where=missing)
+        dev2 = dev * dev
+        m2 = dev2.sum(axis=0)
+        m3 = np.einsum("ij,ij->j", dev2, dev)
+        m4 = np.einsum("ij,ij->j", dev2, dev2)
+    # NaN is fmin/fmax's neutral element: an empty column keeps it.
+    minimum = np.fmin.reduce(mat, axis=0, initial=np.nan)
+    maximum = np.fmax.reduce(mat, axis=0, initial=np.nan)
+    return [SummaryStats(*fields) for fields in zip(
+        n.tolist(), (mat.shape[0] - n).tolist(), mean.tolist(), m2.tolist(),
+        m3.tolist(), m4.tolist(), minimum.tolist(), maximum.tolist())]
+
+
 def merge_stats(a: SummaryStats, b: SummaryStats) -> SummaryStats:
     """Combine summaries of two disjoint samples (Chan et al. update)."""
     if a.n == 0:

@@ -12,10 +12,13 @@ Per table the sketch holds exactly what queries read:
 
 * a deterministic uniform **reservoir sample** of row indices, shared by
   every column so sampled rows stay aligned (pairwise statistics need
-  row-consistent samples), with each numeric column's values at those
-  rows;
+  row-consistent samples), and every numeric column's values at those
+  rows as one row-aligned **sample matrix**, so a query's inside and
+  outside groups are one masked pass over it;
 * exact one-pass **streaming moments** per numeric column (these make
-  whole-table summaries free at query time).
+  whole-table summaries free at query time);
+* the **pair moments of the whole sample**, so a query's outside-group
+  correlations are a subtraction from them, as on the exact tier.
 
 Everything here is deterministic given ``(n_rows, seed)`` and picklable,
 so sketches ride the statistics cache's ``snapshot()`` / ``merge_from`` /
@@ -32,10 +35,12 @@ or the exact tier must run.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.stats.correlation import PairwiseMoments
 from repro.stats.descriptive import SummaryStats, summarize
 
 #: Default reservoir capacity: tables at or under this many rows are
@@ -68,13 +73,21 @@ class ColumnSketch:
     """The sketch of one numeric column.
 
     ``moments`` are **exact** (one streaming pass over the full column);
-    ``sample`` holds the column's values at the table's shared reservoir
-    rows, in row order.
+    :attr:`sample` is the column's values at the table's shared
+    reservoir rows, in row order: column ``position`` of the table
+    sketch's sample matrix, which ``matrix`` references (so a pickle of
+    the table sketch holds the matrix once).
     """
 
     name: str
     moments: SummaryStats
-    sample: np.ndarray
+    position: int
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def sample(self) -> np.ndarray:
+        """The sampled values, a view of the sample matrix."""
+        return self.matrix[:, self.position]
 
 
 def sample_indices(n_rows: int, capacity: int,
@@ -98,6 +111,22 @@ class TableSketch:
 
     Keyed by the table's content fingerprint inside the statistics
     cache; the sketch itself never references the table.
+
+    Attributes:
+        samples: the reservoir, ``sample_size x numeric columns`` in
+            row order: every numeric column's values at ``row_indices``,
+            row-aligned across columns.  It is the only copy; each
+            :class:`ColumnSketch` reads its column as a view.
+        center: per column of ``samples``, its exact mean (0 when it has
+            none), subtracted from the samples before their pair moments
+            are taken.  Correlations do not depend on the shift, and it
+            keeps the moment formulas well conditioned for a column
+            whose mean dwarfs its spread.
+        sample_moments: pair moments of the whole centred ``samples``
+            matrix, from which the sketch tier derives a query's
+            outside-group moments as ``sample_moments - inside``.
+            ``None`` when the reservoir covers every row, where the
+            sketch never answers.
     """
 
     fingerprint: str
@@ -105,6 +134,9 @@ class TableSketch:
     capacity: int
     seed: int
     row_indices: np.ndarray
+    samples: np.ndarray
+    center: np.ndarray
+    sample_moments: PairwiseMoments | None = None
     columns: dict[str, ColumnSketch] = field(default_factory=dict)
 
     @property
@@ -135,20 +167,25 @@ class TableSketch:
         registration, amortized over every subsequent query.
         """
         rows = sample_indices(table.n_rows, capacity, seed)
-        columns: dict[str, ColumnSketch] = {}
-        for name in table.numeric_column_names():
+        names = table.numeric_column_names()
+        samples = np.empty((rows.size, len(names)), dtype=np.float64)
+        moments = []
+        for j, name in enumerate(names):
             values = table.column(name).numeric_values()
-            columns[name] = ColumnSketch(
-                name=name,
-                moments=summarize(values),
-                sample=np.ascontiguousarray(values[rows]),
-            )
+            moments.append(summarize(values))
+            samples[:, j] = values[rows]
+        columns = {name: ColumnSketch(name=name, moments=summary,
+                                      position=j, matrix=samples)
+                   for j, (name, summary) in enumerate(zip(names, moments))}
+        center = np.array([m.mean for m in moments], dtype=np.float64)
+        center[~np.isfinite(center)] = 0.0
+        sample_moments = (None if rows.size >= table.n_rows
+                          else PairwiseMoments.from_matrix(samples - center))
         return cls(fingerprint=table.fingerprint(), n_rows=table.n_rows,
                    capacity=int(capacity), seed=int(seed),
-                   row_indices=rows, columns=columns)
+                   row_indices=rows, samples=samples, center=center,
+                   sample_moments=sample_moments, columns=columns)
 
-    def sample_matrix(self, names: tuple[str, ...]) -> np.ndarray:
-        """Sampled rows x named columns, row-aligned across columns."""
-        if not names:
-            return np.empty((self.sample_size, 0), dtype=np.float64)
-        return np.column_stack([self.columns[n].sample for n in names])
+    def positions(self, names: Sequence[str]) -> list[int]:
+        """Columns of :attr:`samples` holding the named columns."""
+        return [self.columns[n].position for n in names]

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from repro.errors import InsufficientDataError
-from repro.stats.correlation import fisher_z
+from repro.stats.correlation import fisher_z, fisher_z_batch
 from repro.stats.descriptive import SummaryStats, summarize
 
 
@@ -113,7 +113,10 @@ def welch_t_test(inside, outside) -> TestResult:
         return TestResult("welch_t", 0.0 if p == 1.0 else math.inf, p,
                           df=float(a.n + b.n - 2))
     t = (a.mean - b.mean) / math.sqrt(denom)
-    df = denom ** 2 / (va ** 2 / (a.n - 1) + vb ** 2 / (b.n - 1))
+    # Welch–Satterthwaite df from the variance share: squaring va and vb
+    # themselves underflows to 0 for tiny variances.
+    s = va / denom
+    df = 1.0 / (s * s / (a.n - 1) + (1.0 - s) * (1.0 - s) / (b.n - 1))
     p = float(2.0 * t_sf(abs(t), df))
     return TestResult("welch_t", float(t), p, df=float(df))
 
@@ -274,3 +277,161 @@ def mann_whitney_u_test(inside, outside) -> TestResult:
         return TestResult("mann_whitney", float(u1), 1.0)
     z = (u1 - mu) / math.sqrt(var)
     return TestResult("mann_whitney", float(u1), _two_sided_from_z(z))
+
+
+# -- batches ---------------------------------------------------------------------
+#
+# One test over many inputs at once, for the components' ``compute_batch``.
+# Element ``i`` of a batch is what the scalar test above returns for input
+# ``i``, up to the order of floating-point sums: the per-input Python work
+# becomes a few numpy passes, which release the GIL.
+
+
+@dataclass(frozen=True)
+class TestBatch:
+    """Outcomes of one test over many inputs, as parallel arrays.
+
+    (``__test__ = False`` tells pytest this is not a test class.)
+    """
+
+    __test__ = False
+
+    name: str
+    statistic: np.ndarray
+    p_value: np.ndarray
+    #: None for z-tests, whose results keep :class:`TestResult`'s df.
+    df: np.ndarray | None = None
+
+    def results(self) -> list[TestResult]:
+        """One :class:`TestResult` per input, in input order."""
+        if self.df is None:
+            return [TestResult(self.name, s, p) for s, p in zip(
+                self.statistic.tolist(), self.p_value.tolist())]
+        return [TestResult(self.name, s, p, d) for s, p, d in zip(
+            self.statistic.tolist(), self.p_value.tolist(),
+            self.df.tolist())]
+
+
+def welch_t_batch(n_a: np.ndarray, mean_a: np.ndarray, m2_a: np.ndarray,
+                  n_b: np.ndarray, mean_b: np.ndarray,
+                  m2_b: np.ndarray) -> TestBatch:
+    """:func:`welch_t_test` over many pairs of summaries.
+
+    The arguments are the two groups' :class:`SummaryStats` fields
+    ``n``, ``mean`` and ``m2`` as float arrays; every ``n`` is at least 2.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        va = m2_a / (n_a - 1) / n_a
+        vb = m2_b / (n_b - 1) / n_b
+        denom = va + vb
+        t = (mean_a - mean_b) / np.sqrt(denom)
+        s = va / denom
+        df = 1.0 / (s * s / (n_a - 1) + (1.0 - s) * (1.0 - s) / (n_b - 1))
+        p = 2.0 * special.stdtr(df, -np.abs(t))
+    # Both groups constant: equal means -> p = 1, unequal -> p = 0.
+    constant = denom <= 0.0
+    equal = mean_a == mean_b
+    return TestBatch(
+        "welch_t",
+        np.where(constant, np.where(equal, 0.0, np.inf), t),
+        np.where(constant, np.where(equal, 1.0, 0.0), p),
+        np.where(constant, n_a + n_b - 2.0, df))
+
+
+def _median_deviations(samples: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the absolute deviations from the row's median, 0 where a
+    value is missing; the mask of missing values; the count of values."""
+    deviations = np.sort(samples, axis=1)  # NaNs sort last
+    missing = np.isnan(deviations)
+    n = deviations.shape[1] - np.count_nonzero(missing, axis=1)
+    if deviations.shape[1] == 0:
+        return deviations, missing, n
+    lo = np.take_along_axis(deviations, (np.maximum(n - 1, 0) // 2)[:, None],
+                            axis=1)[:, 0]
+    hi = np.take_along_axis(deviations, (n // 2)[:, None], axis=1)[:, 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # np.median's rule: the middle value, or the mean of the two.
+        median = np.where(n % 2 == 1, lo, (lo + hi) / 2.0)
+        deviations -= median[:, None]
+    np.abs(deviations, out=deviations)
+    np.copyto(deviations, 0.0, where=missing)
+    return deviations, missing, n
+
+
+def _squared_spread(deviations: np.ndarray, means: np.ndarray,
+                    missing: np.ndarray) -> np.ndarray:
+    """Per row: the sum of squared differences of the present values from
+    the row mean."""
+    centred = deviations - means[:, None]
+    np.copyto(centred, 0.0, where=missing)
+    return np.einsum("ij,ij->i", centred, centred)
+
+
+def levene_batch(inside: np.ndarray,
+                 outside: np.ndarray) -> tuple[TestBatch, np.ndarray]:
+    """Brown–Forsythe :func:`levene_test` (median centre) over many pairs
+    of samples.
+
+    Row ``i`` of ``inside`` and of ``outside`` holds test ``i``'s two
+    samples, NaN marking a missing value.  The medians come from one sort
+    of each matrix; the one-way ANOVA on the absolute deviations is then
+    row-wise arithmetic.  Returns the batch and a mask of the rows it
+    could test: a row where either sample has fewer than two values
+    (where the scalar test raises) reads NaN.
+    """
+    zx, gaps_x, n1 = _median_deviations(np.asarray(inside, dtype=np.float64))
+    zy, gaps_y, n2 = _median_deviations(np.asarray(outside,
+                                                   dtype=np.float64))
+    n1, n2 = n1.astype(np.float64), n2.astype(np.float64)
+    n = n1 + n2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sum_x, sum_y = zx.sum(axis=1), zy.sum(axis=1)
+        mean_x, mean_y = sum_x / n1, sum_y / n2
+        zbar = (sum_x + sum_y) / n
+        between = n1 * (mean_x - zbar) ** 2 + n2 * (mean_y - zbar) ** 2
+        within = (_squared_spread(zx, mean_x, gaps_x)
+                  + _squared_spread(zy, mean_y, gaps_y))
+        w = (n - 2) * between / within
+        p = np.where(w <= 0.0, 1.0, special.fdtrc(1.0, n - 2, w))
+    # No spread within either group: equal centres -> p = 1, else p = 0.
+    flat = within <= 0.0
+    still = between <= 0.0
+    tested = (n1 >= 2) & (n2 >= 2)
+    return TestBatch(
+        "levene",
+        np.where(tested, np.where(flat, np.where(still, 0.0, np.inf), w),
+                 np.nan),
+        np.where(tested, np.where(flat, np.where(still, 1.0, 0.0), p),
+                 np.nan),
+        np.where(tested, n - 2, np.nan)), tested
+
+
+def fisher_z_test_batch(r_inside: np.ndarray, n_inside: np.ndarray,
+                        r_outside: np.ndarray,
+                        n_outside: np.ndarray) -> TestBatch:
+    """:func:`fisher_z_test` over many pairs of correlations (every count
+    at least 4)."""
+    se = np.sqrt(1.0 / (n_inside - 3) + 1.0 / (n_outside - 3))
+    z = (fisher_z_batch(r_inside) - fisher_z_batch(r_outside)) / se
+    return TestBatch("fisher_z", z, 2.0 * special.ndtr(-np.abs(z)))
+
+
+def two_proportion_z_batch(k_inside: np.ndarray, n_inside: np.ndarray,
+                           k_outside: np.ndarray,
+                           n_outside: np.ndarray) -> TestBatch:
+    """:func:`two_proportion_z_test` over many pairs of counts (every
+    ``n`` positive)."""
+    p1 = k_inside / n_inside
+    p2 = k_outside / n_outside
+    pooled = (k_inside + k_outside) / (n_inside + n_outside)
+    se = np.sqrt(pooled * (1.0 - pooled) * (1.0 / n_inside + 1.0 / n_outside))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (p1 - p2) / se
+    flat = se == 0.0
+    equal = p1 == p2
+    return TestBatch(
+        "two_prop_z",
+        np.where(flat, np.where(equal, 0.0, np.inf), z),
+        np.where(flat, np.where(equal, 1.0, 0.0),
+                 2.0 * special.ndtr(-np.abs(z))))

@@ -131,6 +131,24 @@ class TestCharacterize:
         assert "signal_a" in z.dendrogram_text()
 
 
+class TestTinyVariances:
+    def test_subnormal_variance_column_is_scored(self):
+        # Both groups' squared standard errors underflow to 0 in the
+        # textbook Welch df, which used to raise ZeroDivisionError here.
+        rng = np.random.default_rng(0)
+        n = 200
+        table = Table.from_dict({
+            "x": rng.random(n),
+            "tiny": rng.choice([0.0, 1e-160, 2e-160], size=n),
+            "y": rng.normal(size=n),
+        }, name="tiny_var")
+        ziggy = Ziggy(table)
+        ziggy.characterize("x > 0.5")
+        (score,) = [s for s in ziggy.last_prepared.catalog.unary["tiny"]
+                    if s.component == "mean_shift"]
+        assert np.isfinite(score.test.df) and score.test.df > 1
+
+
 class TestStatisticsSharing:
     def test_cache_hits_on_repeat(self, planted_table):
         z = Ziggy(planted_table, share_statistics=True)

@@ -144,3 +144,60 @@ class TestPrepare:
         hits_before = cache.counters.hits
         engine.prepare(prep_db.select("prep", "driver > 0.5"), ZiggyConfig())
         assert cache.counters.hits > hits_before
+
+
+class TestComponentBatches:
+    """The stage makes one ``compute_batch`` call per component."""
+
+    def test_one_batch_per_component(self, prep_db, monkeypatch):
+        from repro.core.components.numeric import MeanShiftComponent
+        calls = []
+        batch = MeanShiftComponent.compute_batch
+
+        def counted(self, slices):
+            calls.append(len(slices))
+            return batch(self, slices)
+
+        monkeypatch.setattr(MeanShiftComponent, "compute_batch", counted)
+        sel = prep_db.select("prep", "driver > 0")
+        PreparationEngine().prepare(sel, ZiggyConfig())
+        assert calls == [3]  # t1, t2, lonely; driver is the predicate's
+
+    def test_compute_only_component_runs_through_the_default(self, prep_db):
+        from repro.core.components.base import (
+            ComponentOutcome,
+            ZigComponent,
+        )
+
+        class Span(ZigComponent):
+            name = "span"
+
+            def compute(self, data):
+                data.ensure_stats()
+                return ComponentOutcome(raw=data.inside_stats.value_range,
+                                        direction="higher")
+
+        registry = default_registry().copy()
+        registry.register(Span())
+        sel = prep_db.select("prep", "driver > 0")
+        prepared = PreparationEngine(registry=registry).prepare(
+            sel, ZiggyConfig(weights={"span": 1.0}))
+        assert {s.component for s in prepared.catalog.unary["t1"]} >= {
+            "span", "mean_shift"}
+
+    def test_batch_of_the_wrong_length_is_refused(self, prep_db):
+        from repro.core.components.base import ZigComponent
+        from repro.errors import ComponentError
+
+        class Short(ZigComponent):
+            name = "short"
+
+            def compute_batch(self, slices):
+                return []
+
+        registry = default_registry().copy()
+        registry.register(Short())
+        sel = prep_db.select("prep", "driver > 0")
+        with pytest.raises(ComponentError, match="0 outcomes for 3"):
+            PreparationEngine(registry=registry).prepare(
+                sel, ZiggyConfig(weights={"short": 1.0}))

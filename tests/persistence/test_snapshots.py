@@ -204,6 +204,37 @@ class TestUpgrade:
             [table.numeric_column_names()]
 
 
+    def test_blob_of_per_column_samples_is_dropped_and_rewritten(
+            self, tmp_path, boxoffice_small, monkeypatch):
+        # A ZIGSNAP2 blob: its sketch pickled one sample array per
+        # column, which the current sketch class cannot read back.
+        state_dir = str(tmp_path / "state")
+        store = SnapshotStore(os.path.join(state_dir, "snapshots"))
+        table = boxoffice_small
+        fingerprint = table.fingerprint()
+        cache = warmed_cache(table)
+        cache.ensure_sketch(table)
+        with monkeypatch.context() as patched:
+            patched.setattr(snapshots, "MAGIC", b"ZIGSNAP2\n")
+            assert store.save(fingerprint, cache)
+        service = ZiggyService(executor="inline", state_dir=state_dir,
+                               snapshot_interval=0, runtime=ZiggyRuntime())
+        try:
+            service.register_table(table)
+            assert service.state.snapshots.counters.corrupt == 1
+            response = service.characterize(CharacterizeRequest(
+                where="gross > 200000000", table=table.name))
+            assert response.n_views > 0
+        finally:
+            service.shutdown()  # the drain-time pass rewrites the blob
+        with open(store._path(fingerprint), "rb") as fh:
+            assert fh.read().startswith(b"ZIGSNAP3\n")
+        sketch = SnapshotStore(store.root).load(fingerprint).sketch_for(
+            fingerprint)
+        assert sketch.samples.shape == (sketch.sample_size,
+                                        len(sketch.columns))
+
+
 class TestStartupHygiene:
     def test_stale_tmp_files_are_swept(self, tmp_path, boxoffice_small):
         store = make_store(tmp_path)

@@ -90,9 +90,10 @@ class TestTableSketch:
     def test_sample_matrix_aligned(self):
         table = make_table(3000)
         sketch = TableSketch.build(table, capacity=256)
-        mat = sketch.sample_matrix(("a", "b"))
-        assert mat.shape == (256, 2)
+        assert sketch.samples.shape == (256, 3)  # the numeric columns
+        mat = sketch.samples[:, sketch.positions(("a", "b"))]
         assert np.array_equal(mat[:, 1], sketch.columns["b"].sample)
+        assert np.shares_memory(sketch.columns["b"].sample, sketch.samples)
 
     def test_pickle_round_trip(self):
         sketch = TableSketch.build(make_table(5000), capacity=512)
@@ -100,3 +101,16 @@ class TestTableSketch:
         assert clone.fingerprint == sketch.fingerprint
         assert np.array_equal(clone.row_indices, sketch.row_indices)
         assert clone.columns["a"].moments == sketch.columns["a"].moments
+
+    def test_pickle_holds_the_sample_matrix_once(self):
+        sketch = TableSketch.build(make_table(5000), capacity=512)
+        blob = pickle.dumps(sketch)
+        # One copy of the samples, not one more per column view.
+        assert len(blob) < (sketch.samples.nbytes
+                            + sketch.row_indices.nbytes + 4096)
+        clone = pickle.loads(blob)
+        for column in clone.columns.values():
+            assert np.shares_memory(column.sample, clone.samples)
+            assert np.array_equal(column.sample,
+                                  sketch.columns[column.name].sample,
+                                  equal_nan=True)

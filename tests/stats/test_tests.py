@@ -52,6 +52,32 @@ class TestWelch:
         with pytest.raises(InsufficientDataError):
             welch_t_test(np.array([1.0]), np.array([1.0, 2.0]))
 
+    def test_tiny_variances_keep_their_degrees_of_freedom(self):
+        # Both squared standard errors underflow to 0 in the textbook
+        # df formula.  Welch's t is scale-free, so the same samples
+        # scaled into the normal range are the reference (ttest_ind is
+        # none: it replaces an undefined df with 1).
+        inside = np.array([0.0, 1e-160, 2e-160, 0.0])
+        outside = np.array([1e-160, 0.0, 3e-160, 1e-160, 0.0])
+        tiny = welch_t_test(inside, outside)
+        scaled = welch_t_test(inside * 1e160, outside * 1e160)
+        assert scaled.df == pytest.approx(7.0, rel=1e-3)
+        # The subnormal squares carry ~11 significant bits.
+        assert tiny.df == pytest.approx(scaled.df, rel=1e-3)
+        assert tiny.statistic == pytest.approx(scaled.statistic, rel=1e-3)
+        assert tiny.p_value == pytest.approx(scaled.p_value, rel=1e-3)
+
+    def test_df_matches_the_textbook_form(self, rng):
+        for _ in range(200):
+            a = rng.normal(0, rng.uniform(0.1, 10), rng.integers(2, 60))
+            b = rng.normal(0, rng.uniform(0.1, 10), rng.integers(2, 60))
+            va = a.var(ddof=1) / a.size
+            vb = b.var(ddof=1) / b.size
+            textbook = (va + vb) ** 2 / (va ** 2 / (a.size - 1)
+                                         + vb ** 2 / (b.size - 1))
+            assert welch_t_test(a, b).df == pytest.approx(textbook,
+                                                          rel=1e-13)
+
 
 class TestVarianceTests:
     def test_f_test_detects_ratio(self, rng):
