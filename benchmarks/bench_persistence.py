@@ -23,6 +23,7 @@ Exit code 1 when a gate fails, so CI trips loudly.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import shutil
 import statistics
@@ -57,16 +58,26 @@ def run_job_workload(table, state_dir: str | None,
     service = ZiggyService(executor="inline", runtime=ZiggyRuntime(),
                            state_dir=state_dir, snapshot_interval=0)
     service.register_table(table)
-    start = time.perf_counter()
-    for _ in range(jobs_per_predicate):
-        for where in PREDICATES:
-            snapshot = service.submit(CharacterizeRequest(
-                where=where, table=table.name))
-            done = service.wait(snapshot.job_id, timeout=300)
-            if done.status != "done":  # a failed job would fake speed
-                raise RuntimeError(
-                    f"bench job {where!r} ended {done.status}: {done.error}")
-    elapsed = time.perf_counter() - start
+    # Collect, then freeze every object alive now, so no full collection
+    # over the process's older objects lands inside the timed block:
+    # where one lands would decide the in-memory/durable ratio, not the
+    # journal.
+    gc.collect()
+    gc.freeze()
+    try:
+        start = time.perf_counter()
+        for _ in range(jobs_per_predicate):
+            for where in PREDICATES:
+                snapshot = service.submit(CharacterizeRequest(
+                    where=where, table=table.name))
+                done = service.wait(snapshot.job_id, timeout=300)
+                if done.status != "done":  # a failed job would fake speed
+                    raise RuntimeError(
+                        f"bench job {where!r} ended {done.status}: "
+                        f"{done.error}")
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.unfreeze()
     service.shutdown()
     return elapsed
 

@@ -240,41 +240,38 @@ class PreparationEngine:
         numeric = tuple(c for c in columns if not slices[c].is_categorical)
         if len(numeric) < 2:
             return {}
-        answer = cache.sketch_group_correlations(selection, numeric,
-                                                 config.sketch_margin)
-        if answer is not None:
-            corr_in, n_in, corr_out, n_out = answer
-            notes.append("sketch tier answered pairwise correlations")
-        else:
-            # Moments over the pool's numeric columns: one global entry
-            # per table and one inside entry per predicate, sliced here.
-            table = selection.table
-            pooled = tuple(c for c in pool if not isinstance(
-                table.column(c), CategoricalColumn))
-            position = {name: i for i, name in enumerate(pooled)}
-            grid = np.ix_([position[c] for c in numeric],
-                          [position[c] for c in numeric])
-            corr_in, n_in, corr_out, n_out = (
-                m[grid] for m in cache.group_correlations(selection, pooled))
-        # Vectorized threshold scan over the dependency submatrix —
-        # wide tables make a per-pair Python loop the bottleneck.
+        # The tight pairs first (a vectorized threshold scan over the
+        # dependency submatrix): correlations are asked for those only.
         dep_index = [dependency.index_of(c) for c in numeric]
         sub = dependency.matrix[np.ix_(dep_index, dep_index)]
         tight = np.triu(np.where(np.isnan(sub), -1.0, sub)
                         >= config.min_tightness, k=1)
-        pairs: dict[tuple[str, str], PairSlice] = {}
-        for ia, ib in np.argwhere(tight):
-            a, b = numeric[ia], numeric[ib]
+        pairs = [(numeric[ia], numeric[ib]) for ia, ib in np.argwhere(tight)]
+        answer = cache.sketch_group_correlations(
+            selection, numeric, config.sketch_margin, pairs)
+        if answer is not None:
+            notes.append("sketch tier answered pairwise correlations")
+        else:
+            # Whole-table moments over the pool's numeric columns (one
+            # entry per table), inside moments of these pairs (one entry
+            # per predicate).
+            table = selection.table
+            pooled = tuple(c for c in pool if not isinstance(
+                table.column(c), CategoricalColumn))
+            answer = cache.group_correlations(selection, pooled, pairs)
+        corr_in, n_in, corr_out, n_out = answer
+        pair_slices: dict[tuple[str, str], PairSlice] = {}
+        for k, (a, b) in enumerate(pairs):
             key = (a, b) if a <= b else (b, a)
-            pairs[key] = PairSlice(
+            pair_slices[key] = PairSlice(
                 x=slices[a],
                 y=slices[b],
-                r_inside=float(corr_in[ia, ib]),
-                r_outside=float(corr_out[ia, ib]),
-                n_inside=int(n_in[ia, ib]),
-                n_outside=int(n_out[ia, ib]),
+                r_inside=float(corr_in[k]),
+                r_outside=float(corr_out[k]),
+                n_inside=int(n_in[k]),
+                n_outside=int(n_out[k]),
             )
-        return pairs
+        return pair_slices
 
     def _evaluate_components(self, slices: dict[str, ColumnSlice],
                              pair_slices: dict[tuple[str, str], PairSlice],

@@ -32,14 +32,16 @@ stores and their keys:
 * ``_column_stats`` — ``(fingerprint, column)``: whole-table summary of
   one numeric column;
 * ``_global_moments`` — ``(fingerprint, columns)``: whole-table pair
-  moments over ``columns``;
+  moments over ``columns``, taken on each column shifted by its
+  whole-table mean;
 * ``_dependency`` — ``(fingerprint, method, bins, columns)``: the
   dependency matrix over ``columns``;
 * ``_sketches`` — ``(fingerprint,)``: the sketch tier (below);
 * ``_inside_stats`` — ``(fingerprint, predicate, column)`` and
-  ``_inside_moments`` — ``(fingerprint, predicate, columns)``: the
-  selected rows' summaries and pair moments, the only per-predicate
-  stores.
+  ``_inside_moments`` — ``(fingerprint, predicate, columns, pairs)``:
+  the selected rows' summaries and the pair moments of the column pairs
+  a query asked for (the preparation stage asks for its tight pairs
+  only), the only per-predicate stores.
 
 Tables are immutable in this engine, so cache entries never go stale.
 Entries are keyed by :meth:`~repro.engine.table.Table.fingerprint` — a
@@ -81,6 +83,7 @@ arrival reuses it.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -92,7 +95,7 @@ from repro.core.dependency import DependencyMatrix, compute_dependency_matrix
 from repro.core.profiling import PROFILER
 from repro.engine.database import Selection
 from repro.engine.table import Table
-from repro.stats.correlation import PairwiseMoments
+from repro.stats.correlation import PairMoments, PairwiseMoments
 from repro.stats.descriptive import (
     SummaryStats,
     summarize,
@@ -107,21 +110,67 @@ from repro.stats.sketches import (
 
 #: Byte budget shared by the two per-predicate stores of one cache
 #: (``_inside_stats`` and ``_inside_moments``).  A us_crime predicate
-#: costs ~0.57 MB there (pair moments over 126 numeric columns plus one
-#: summary per column), so 40 MiB holds ~73 predicates: more than a
-#: session's history of 64 (``repro.app.session.HISTORY_LIMIT``).
-INSIDE_BUDGET_BYTES = 40 << 20
+#: costs ~87 KB there (one summary per numeric column, 64.5 KB, plus the
+#: moments of its ~460 tight pairs, ~22 KB), so 8 MiB holds ~96
+#: predicates: more than a session's history of 64
+#: (``repro.app.session.HISTORY_LIMIT``), while a table replicated on
+#: two process shards holds 16 MiB of them, under half of the single
+#: 40 MiB store that every pair's moments needed.
+INSIDE_BUDGET_BYTES = 8 << 20
 
 #: Bytes charged per cached :class:`SummaryStats`: the object, its
 #: attribute dict and eight numbers.
 _SUMMARY_NBYTES = 512
 
+#: Rows per block of the whole-table pair moments.
+_BLOCK_ROWS = 4096
+
 
 def _entry_nbytes(value) -> int:
     """Bytes a per-predicate entry is charged against the budget."""
-    if isinstance(value, PairwiseMoments):
+    if isinstance(value, PairMoments):
         return value.nbytes
     return _SUMMARY_NBYTES
+
+
+def _shifted_moments(values: "list[np.ndarray]", center: np.ndarray,
+                     n_rows: int) -> PairwiseMoments:
+    """Pair moments of the columns ``values`` (``n_rows`` each), each
+    shifted by its ``center``.  Moments add up over disjoint rows, so
+    they are taken a block of rows at a time: a block's temporaries, not
+    the whole table's, bound the memory this costs."""
+    moments = None
+    for start in range(0, max(n_rows, 1), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        block = np.empty((stop - start, len(values)))
+        for j, v in enumerate(values):
+            block[:, j] = v[start:stop] - center[j]
+        part = PairwiseMoments.from_matrix(block)
+        moments = part if moments is None else moments.add(part)
+    return moments
+
+
+def _pair_index(columns: tuple[str, ...],
+                pairs: "Sequence[tuple[str, str]] | None"
+                ) -> tuple[np.ndarray, np.ndarray, str]:
+    """``(ia, ib, tag)``: positions in ``columns`` of each pair's two
+    columns, and the key part naming the pair list.  ``None`` means every
+    ordered pair, as ``(M, M)`` index grids."""
+    if pairs is None:
+        ia, ib = np.indices((len(columns), len(columns)))
+        return ia, ib, "all"
+    position = {name: i for i, name in enumerate(columns)}
+    index = np.array([(position[a], position[b]) for a, b in pairs],
+                     dtype=np.intp).reshape(-1, 2)
+    tag = hashlib.blake2b(index.tobytes(), digest_size=16).hexdigest()
+    return index[:, 0], index[:, 1], tag
+
+
+def _unit_diagonal(corr: np.ndarray, counts: np.ndarray) -> None:
+    """Set a column's correlation with itself to 1 where defined, as
+    :meth:`PairwiseMoments.correlations` does."""
+    defined = np.flatnonzero(np.diag(counts) >= 2)
+    corr[defined, defined] = 1.0
 
 
 @dataclass
@@ -399,7 +448,9 @@ class StatsCache:
 
     def global_moments(self, table: Table,
                        columns: tuple[str, ...]) -> PairwiseMoments:
-        """Whole-table pairwise moments over the numeric columns."""
+        """Whole-table pairwise moments over the numeric columns, taken
+        on each column shifted by its exact whole-table mean
+        (``center``, 0 for a column with none)."""
         key = (self._key(table), columns)
         with self._lock:
             cached = self._get("_global_moments", key)
@@ -407,15 +458,38 @@ class StatsCache:
                 self.counters.moments_hits += 1
                 return cached
             self.counters.moments_misses += 1
+            center = np.array([self.global_column_stats(table, c).mean
+                               for c in columns], dtype=np.float64)
+            center[~np.isfinite(center)] = 0.0
             with PROFILER.timer("kernel.global_moments"):
-                moments = PairwiseMoments.from_matrix(table.numeric_matrix(columns))
+                moments = _shifted_moments(
+                    [table.column(c).numeric_values() for c in columns],
+                    center, table.n_rows)
+            moments.center = center
             self._put("_global_moments", key, moments)
             return moments
 
     def inside_moments(self, selection: Selection,
-                       columns: tuple[str, ...]) -> PairwiseMoments:
-        """Pairwise moments of the selected rows (per-predicate memo)."""
-        key = (self._key(selection.table), selection.fingerprint, columns)
+                       columns: tuple[str, ...],
+                       pairs: "Sequence[tuple[str, str]] | None" = None
+                       ) -> PairMoments:
+        """Pair moments of the selected rows (per-predicate memo).
+
+        ``pairs`` are ``(a, b)`` column pairs within ``columns``, and the
+        entry holds those pairs only, one array entry each; without it,
+        every ordered pair of ``columns`` as ``(M, M)`` arrays.  They are
+        taken at the shift of the whole-table moments over ``columns``,
+        so the outside group's are a subtraction.
+        """
+        return self._inside_pairs(
+            selection, columns, _pair_index(columns, pairs),
+            self.global_moments(selection.table, columns))
+
+    def _inside_pairs(self, selection: Selection, columns: tuple[str, ...],
+                      index: tuple, global_: PairwiseMoments) -> PairMoments:
+        ia, ib, tag = index
+        key = (self._key(selection.table), selection.fingerprint, columns,
+               tag)
         with self._lock:
             cached = self._get("_inside_moments", key)
             if cached is not None:
@@ -423,24 +497,43 @@ class StatsCache:
                 return cached
             self.counters.moments_misses += 1
             with PROFILER.timer("kernel.inside_moments"):
-                data = selection.table.numeric_matrix(columns)[selection.mask]
-                moments = PairwiseMoments.from_matrix(data)
+                # Only the columns some pair uses are scanned.
+                used, local = np.unique(np.concatenate([ia, ib], axis=None),
+                                        return_inverse=True)
+                table, mask = selection.table, selection.mask
+                local = local.reshape(2, *np.shape(ia))
+                moments = _shifted_moments(
+                    [table.column(columns[i]).numeric_values()[mask]
+                     for i in used],
+                    global_.center[used], selection.n_inside
+                ).pairs(local[0], local[1])
             self._put("_inside_moments", key, moments)
             return moments
 
     def group_correlations(self, selection: Selection,
-                           columns: tuple[str, ...]) -> tuple[
-                               np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(corr_in, n_in, corr_out, n_out)`` for the numeric columns.
+                           columns: tuple[str, ...],
+                           pairs: "Sequence[tuple[str, str]] | None" = None
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
+        """``(corr_in, n_in, corr_out, n_out)`` of column pairs.
 
-        The outside matrices come from moment subtraction — the core of
-        the sharing strategy.
+        With ``pairs`` (``(a, b)`` pairs within ``columns``), one entry
+        per pair, in order; without, every pair of ``columns`` as
+        ``(M, M)`` matrices with a unit diagonal where defined.  The
+        whole-table moments cover ``columns`` (one table-level entry),
+        the inside moments only the pairs (one per-predicate entry), and
+        the outside moments come from subtraction — the core of the
+        sharing strategy.
         """
-        inside = self.inside_moments(selection, columns)
+        index = _pair_index(columns, pairs)
         global_ = self.global_moments(selection.table, columns)
-        outside = global_.subtract(inside)
+        inside = self._inside_pairs(selection, columns, index, global_)
+        outside = global_.pairs(index[0], index[1]).subtract(inside)
         corr_in, n_in = inside.correlations()
         corr_out, n_out = outside.correlations()
+        if pairs is None:
+            _unit_diagonal(corr_in, n_in)
+            _unit_diagonal(corr_out, n_out)
         return corr_in, n_in, corr_out, n_out
 
     # -- dependency matrix -------------------------------------------------------------
@@ -561,10 +654,13 @@ class StatsCache:
 
     def sketch_group_correlations(self, selection: Selection,
                                   columns: tuple[str, ...],
-                                  max_margin: float) -> tuple[
+                                  max_margin: float,
+                                  pairs: "Sequence[tuple[str, str]] | None"
+                                  = None) -> tuple[
                                       np.ndarray, np.ndarray,
                                       np.ndarray, np.ndarray] | None:
-        """``(corr_in, n_in, corr_out, n_out)`` from the sketch sample.
+        """``(corr_in, n_in, corr_out, n_out)`` from the sketch sample, in
+        the shape :meth:`group_correlations` answers for ``pairs``.
 
         The reservoir is row-aligned across columns, so the sampled
         inside rows feed the same four-GEMM pairwise estimator the exact
@@ -595,10 +691,16 @@ class StatsCache:
         with PROFILER.timer("kernel.sketch_answer"):
             inside = PairwiseMoments.from_matrix(
                 sketch.samples[inside_mask] - sketch.center)
-            outside = sketch.sample_moments.subtract(inside)
-            index = sketch.positions(columns)
-            corr_in, n_in = inside.restrict(index).correlations()
-            corr_out, n_out = outside.restrict(index).correlations()
+            ia, ib, _ = _pair_index(columns, pairs)
+            index = np.asarray(sketch.positions(columns), dtype=np.intp)
+            ia, ib = index[ia], index[ib]
+            inside_pairs = inside.pairs(ia, ib)
+            corr_in, n_in = inside_pairs.correlations()
+            corr_out, n_out = sketch.sample_moments.pairs(ia, ib).subtract(
+                inside_pairs).correlations()
+        if pairs is None:
+            _unit_diagonal(corr_in, n_in)
+            _unit_diagonal(corr_out, n_out)
         with self._lock:
             self.counters.sketch_hits += 1
         return corr_in, n_in, corr_out, n_out

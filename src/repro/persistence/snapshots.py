@@ -20,22 +20,25 @@ stale statistics can never be attributed to new data.
 
 File format (one blob per fingerprint, ``snap-<fingerprint>.bin``)::
 
-    b"ZIGSNAP3\\n"    magic
+    b"ZIGSNAP4\\n"    magic
     uint32 BE        payload length
     uint32 BE        CRC-32 of the payload
     payload          pickle of {"fingerprint", "table", "entries",
                                 "saved_at", "cache": StatsCache}
 
 The cache holds the table's table-level entries (its sketch, column
-summaries, and the pair moments and dependency matrices over each
-configuration's candidate columns) plus the per-predicate entries its
-byte budget kept, so a blob stops growing once the budget is full.
-The sketch pickles its reservoir once, as one sample matrix, with the
-whole sample's pair moments.  The magic names the format: older blobs
-fail the check and take the corrupt-blob path (dropped, rewritten by
-the next pass).  ``ZIGSNAP1`` blobs hold table-level statistics over
-each query's own active columns; ``ZIGSNAP2`` blobs hold a sketch with
-one sample array per column.
+summaries, and the mean-shifted pair moments and dependency matrices
+over each configuration's candidate columns) plus the per-predicate
+entries its byte budget kept, so a blob stops growing once the budget
+is full.  A per-predicate pair entry holds the moments of the query's
+tight column pairs only, as vectors.  The sketch pickles its reservoir
+once, as one sample matrix, with the whole sample's pair moments.  The
+magic names the format: older blobs fail the check and take the
+corrupt-blob path (dropped, rewritten by the next pass).  ``ZIGSNAP1``
+blobs hold table-level statistics over each query's own active
+columns; ``ZIGSNAP2`` blobs hold a sketch with one sample array per
+column; ``ZIGSNAP3`` blobs hold unshifted pair moments, with every
+pair's inside moments per predicate.
 
 Pickle is acceptable here — unlike the journal, snapshots are pure
 derived state: a corrupt or untrusted blob is *dropped* (the cache
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 from repro.core.stats_cache import StatsCache
 
 #: Snapshot blob header.
-MAGIC = b"ZIGSNAP3\n"
+MAGIC = b"ZIGSNAP4\n"
 
 _FRAME = struct.Struct(">II")
 

@@ -8,13 +8,27 @@ statistics cache per table) plus its own catalog and engines.
 
 Sharding rule — the whole point of the layout:
 
-* tables are **registered by value once per owning worker** (the table
-  pickles over the task queue at registration time, never per job);
-* every job routes by the table's **content fingerprint**
-  (:func:`~repro.runtime.executors.base.shard_index`), so all work for
-  one table lands on one shard and that table's statistics cache lives
-  in exactly one process — computation sharing keeps working, it just
-  happens per shard instead of per process.
+* every table has an **owner**: the shard its content fingerprint maps
+  to (:func:`~repro.runtime.executors.base.shard_index`), where it is
+  **registered by value** once (the table pickles over the task queue
+  at registration time, never per job);
+* each fingerprint has a **replica set**, the owner alone until the
+  owner is busy: a job goes to the holder with the fewest unfinished
+  tasks (ties to the owner), and when that holder is busy while some
+  live shard has no unfinished task and does not hold the table, the
+  owner's registrations are replayed to that shard, which joins the
+  set and takes the job.  So a hot table runs on up to ``workers``
+  shards at once, and a table nobody queues on stays on one.  Each
+  holder keeps its own statistics cache: computation sharing happens
+  per shard, and a new replica starts cold.  Answers cannot differ
+  between holders, because the table, the sketch seed and every
+  statistic are deterministic.  A batch group is one task, so it runs
+  on one shard.
+
+Every shard holds numpy's OpenBLAS to one thread
+(:func:`~repro.runtime.blas.pin_blas_to_one_thread`): a shard runs one
+characterization at a time, and helper threads would take the cores
+the other shards are computing on.
 
 Event relay: workers execute through the same task path as the local
 backends, compact each :class:`~repro.core.events.StageEvent`
@@ -141,9 +155,11 @@ def _worker_main(worker_id: int, tasks, control, results,
     # Imported here (not at module top) so a spawn-started worker pays
     # the import once, and so this module stays importable in contexts
     # that never start workers.
+    from repro.runtime.blas import pin_blas_to_one_thread
     from repro.runtime.executors.local import TaskContext
     from repro.runtime.runtime import ZiggyRuntime
 
+    pin_blas_to_one_thread()
     cancelled: set[int] = set()
     flag_lock = threading.Lock()
     send_lock = threading.Lock()
@@ -425,9 +441,13 @@ class ProcessShardExecutor(Executor):
         self._pending: dict[int, _ProcessHandle] = {}
         self._task_ids = itertools.count(1)
         #: Per shard: (name, fingerprint) -> (table, cache) — both the
-        #: "already shipped" marker and the replay source for respawns.
+        #: "already shipped" marker and the replay source for respawns
+        #: (replica registrations included).
         self._registrations: "dict[int, dict[tuple[str, str], tuple]]" = {
             i: {} for i in range(workers)}
+        #: Per fingerprint: the live shards holding its tables, owner
+        #: first.  A fingerprint absent here is held by its owner alone.
+        self._replicas: dict[str, list[int]] = {}
         self._register_errors: dict[str, str] = {}
         #: Respawns spent per shard, and shards past their cap.
         self._restarts: dict[int, int] = {i: 0 for i in range(workers)}
@@ -471,29 +491,40 @@ class ProcessShardExecutor(Executor):
 
     def register_table(self, table, name: str | None = None,
                        cache=None) -> None:
-        """Ship a table, by value, to its owning shard (once).
+        """Ship a table, by value, to its owning shard (once), and to
+        every replica its fingerprint already has.
 
         The optional ``cache`` snapshot warms the shard's runtime with
         entries the coordinator already computed.
         """
         fingerprint = table.fingerprint()
-        index = self.shard_for(fingerprint)
+        owner = self.shard_for(fingerprint)
         key = (name or table.name, fingerprint)
         with self._lock:
             if self._closed:
                 raise ExecutorError("executor is closed")
-            if key in self._registrations[index]:
-                return
-            # The stored pair doubles as the respawn replay source: a
-            # replacement worker receives the same table and a fresh
-            # snapshot of this cache.
-            self._registrations[index][key] = (table, cache)
-            # Enqueue while still holding the lock: a concurrent caller
-            # who sees the key marked must be guaranteed the register
-            # message is already ahead of any task it then submits
-            # (queue puts are cheap — the feeder thread does the work).
-            self._workers[index].tasks.put(("register", name or table.name,
-                                            fingerprint, table, cache))
+            for index in dict.fromkeys(
+                    [owner, *self._replicas.get(fingerprint, ())]):
+                self._ship(index, key, table, cache)
+
+    def _ship(self, index: int, key: "tuple[str, str]", table,
+              cache) -> None:
+        """Register one table on one shard, unless it has it.  Caller
+        holds the lock.
+
+        The stored pair doubles as the respawn replay source: a
+        replacement worker receives the same table and a fresh snapshot
+        of a live cache.  Enqueued under the lock: a caller who sees the
+        key marked must be guaranteed the register message is already
+        ahead of any task it then submits (queue puts are cheap — the
+        feeder thread does the work).
+        """
+        if key in self._registrations[index]:
+            return
+        self._registrations[index][key] = (table, cache)
+        snapshot = cache.snapshot() if isinstance(cache, StatsCache) else cache
+        self._workers[index].tasks.put(("register", key[0], key[1], table,
+                                        snapshot))
 
     # -- submission ----------------------------------------------------------
 
@@ -502,15 +533,22 @@ class ProcessShardExecutor(Executor):
             raise ExecutorError(
                 "the process backend executes serializable "
                 "CharacterizationTasks, not in-process callables")
-        index = self.shard_for(work.routing_key)
+        key = work.routing_key
+        owner = self.shard_for(key)
         with self._lock:
             if self._closed:
                 raise ExecutorError("executor is closed")
-            if index in self._dead_shards:
+            holders = [i for i in self._replicas.get(key, (owner,))
+                       if i not in self._dead_shards]
+            if not holders:
                 raise ExecutorError(
-                    f"worker shard {index} is dead (respawn cap of "
+                    f"worker shard {owner} is dead (respawn cap of "
                     f"{self.max_restarts} exhausted); its tables are "
                     "unavailable")
+            load = self._unfinished()
+            index = min(holders, key=lambda i: (load[i], i != owner))
+            if load[index]:
+                index = self._replicate(key, owner, holders, load, index)
             task_id = next(self._task_ids)
             handle = _ProcessHandle(self, task_id, index, work, begin,
                                     progress, finish)
@@ -523,6 +561,46 @@ class ProcessShardExecutor(Executor):
             else:
                 self._workers[index].tasks.put(handle.message())
         return handle
+
+    def _unfinished(self) -> "list[int]":
+        """Per shard, its tasks with no outcome yet.  Caller holds the
+        lock."""
+        load = [0] * self.n_workers
+        for handle in self._pending.values():
+            if not handle.finished:
+                load[handle.worker_index] += 1
+        return load
+
+    def _replicate(self, key: str, owner: int, holders: "list[int]",
+                   load: "list[int]", busy: int) -> int:
+        """The shard a task goes to when every holder of ``key`` is busy:
+        a live shard with no unfinished task that does not hold the
+        table yet, after replaying the owner's registrations of ``key``
+        to it; ``busy`` when there is none.  Caller holds the lock."""
+        spare = next((i for i in range(self.n_workers)
+                      if not load[i] and i not in holders
+                      and i not in self._dead_shards
+                      and i not in self._respawning
+                      and self._workers[i].process.is_alive()), None)
+        if spare is None:
+            return busy
+        source = [(reg_key, value)
+                  for reg_key, value in self._registrations[owner].items()
+                  if reg_key[1] == key]
+        if not source:
+            return busy
+        for reg_key, (table, cache) in source:
+            self._ship(spare, reg_key, table, cache)
+        self._replicas[key] = [*holders, spare]
+        return spare
+
+    def _mark_dead(self, index: int) -> None:
+        """Declare a shard gone for good: it rejects new work and leaves
+        every replica set.  Caller holds the lock."""
+        self._dead_shards.add(index)
+        for holders in self._replicas.values():
+            if index in holders:
+                holders.remove(index)
 
     def _send_cancel(self, handle: _ProcessHandle) -> None:
         with handle._lock:
@@ -596,6 +674,7 @@ class ProcessShardExecutor(Executor):
             with self._lock:
                 for registrations in self._registrations.values():
                     registrations.pop((name, fingerprint), None)
+                self._replicas.pop(fingerprint, None)
                 self._register_errors[name] = str(error)
             return
         task_id = message[1]
@@ -677,7 +756,7 @@ class ProcessShardExecutor(Executor):
             died = f"worker shard {index} died (exitcode {exitcode})"
             if self._closed or self._restarts[index] >= self.max_restarts:
                 if not self._closed:
-                    self._dead_shards.add(index)
+                    self._mark_dead(index)
                 reason = (f"{died} while the executor was closing"
                           if self._closed else
                           f"{died} and its respawn cap is exhausted "
@@ -757,7 +836,7 @@ class ProcessShardExecutor(Executor):
                     # The replacement could not even start: the shard is
                     # gone for good, exactly like an exhausted cap.
                     with self._lock:
-                        self._dead_shards.add(index)
+                        self._mark_dead(index)
                     self._abandon(retried, WorkerError(
                         f"respawn of worker shard {index} failed: "
                         f"{type(spawn_error).__name__}: {spawn_error}"))
@@ -917,7 +996,14 @@ class ProcessShardExecutor(Executor):
     def describe(self) -> dict:
         with self._lock:
             shards = {
-                str(index): sorted(name for name, _fp in registrations)
+                str(index): sorted(name for name, fp in registrations
+                                   if self.shard_for(fp) == index)
+                for index, registrations in self._registrations.items()}
+            replicas = {
+                str(index): sorted(
+                    name for name, fp in registrations
+                    if self.shard_for(fp) != index
+                    and index in self._replicas.get(fp, ()))
                 for index, registrations in self._registrations.items()}
             in_flight = len(self._pending)
             register_errors = dict(self._register_errors)
@@ -927,7 +1013,7 @@ class ProcessShardExecutor(Executor):
             respawning = sorted(self._respawning)
         info = {"kind": self.kind, "workers": self.n_workers,
                 "mp_method": self.mp_method, "shards": shards,
-                "in_flight": in_flight,
+                "replicas": replicas, "in_flight": in_flight,
                 "max_restarts": self.max_restarts,
                 "max_retries": self.max_retries}
         if restarts:

@@ -52,6 +52,7 @@ from repro.stats.correlation import (
     inverse_fisher_z,
     correlation_matrix,
     masked_correlation_matrix,
+    PairMoments,
     PairwiseMoments,
     rankdata,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "inverse_fisher_z",
     "correlation_matrix",
     "masked_correlation_matrix",
+    "PairMoments",
     "PairwiseMoments",
     "rankdata",
     "entropy",

@@ -13,7 +13,6 @@ columns.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -124,6 +123,24 @@ def inverse_fisher_z(z: float) -> float:
     return math.tanh(float(z))
 
 
+def _pair_correlations(n: np.ndarray, sx: np.ndarray, sy: np.ndarray,
+                       sxx: np.ndarray, syy: np.ndarray,
+                       sxy: np.ndarray) -> np.ndarray:
+    """Pearson coefficients from pair moments, elementwise.
+
+    NaN where a pair has fewer than 2 complete rows or a zero variance.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cov = n * sxy - sx * sy
+        var_x = n * sxx - sx * sx
+        var_y = n * syy - sy * sy
+        denom = np.sqrt(np.maximum(var_x, 0.0) * np.maximum(var_y, 0.0))
+        corr = cov / denom
+    corr[(denom <= 0.0) | (n < 2)] = np.nan
+    np.clip(corr, -1.0, 1.0, out=corr)
+    return corr
+
+
 class PairwiseMoments:
     """Sufficient statistics for all pairwise-complete correlations.
 
@@ -141,16 +158,23 @@ class PairwiseMoments:
             both i and j are present.
         sxx: like ``sx`` but sums of squares.
         sxy: ``(M, M)`` cross-products over complete pairs.
+        center: the per-column shift subtracted from the values before
+            the moments were taken (None: unshifted).  Correlations do
+            not depend on it, and a shift near each column's mean keeps
+            ``n * sxx - sx * sx`` from cancelling when a mean dwarfs its
+            spread.  Moments subtracted from these must be taken at the
+            same shift.
     """
 
-    __slots__ = ("n", "sx", "sxx", "sxy")
+    __slots__ = ("n", "sx", "sxx", "sxy", "center")
 
     def __init__(self, n: np.ndarray, sx: np.ndarray, sxx: np.ndarray,
-                 sxy: np.ndarray):
+                 sxy: np.ndarray, center: np.ndarray | None = None):
         self.n = n
         self.sx = sx
         self.sxx = sxx
         self.sxy = sxy
+        self.center = center
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PairwiseMoments":
@@ -172,16 +196,18 @@ class PairwiseMoments:
         return (self.n.nbytes + self.sx.nbytes + self.sxx.nbytes
                 + self.sxy.nbytes)
 
-    def restrict(self, index: Sequence[int]) -> "PairwiseMoments":
-        """The moments of the columns at ``index``, in that order."""
-        grid = np.ix_(index, index)
-        return PairwiseMoments(self.n[grid], self.sx[grid], self.sxx[grid],
-                               self.sxy[grid])
+    def pairs(self, ia: np.ndarray, ib: np.ndarray) -> "PairMoments":
+        """The moments of the column pairs ``(ia[k], ib[k])``, one entry
+        per pair, in the shape of the index arrays."""
+        return PairMoments(self.n[ia, ib], self.sx[ia, ib], self.sx[ib, ia],
+                           self.sxx[ia, ib], self.sxx[ib, ia],
+                           self.sxy[ia, ib])
 
     def add(self, other: "PairwiseMoments") -> "PairwiseMoments":
         """Moments of the union of two disjoint row sets."""
         return PairwiseMoments(self.n + other.n, self.sx + other.sx,
-                               self.sxx + other.sxx, self.sxy + other.sxy)
+                               self.sxx + other.sxx, self.sxy + other.sxy,
+                               self.center)
 
     def subtract(self, part: "PairwiseMoments") -> "PairwiseMoments":
         """Moments of this row set minus a subset of its rows."""
@@ -189,7 +215,8 @@ class PairwiseMoments:
         if (n < -1e-9).any():
             raise ValueError("cannot subtract moments of a larger row set")
         return PairwiseMoments(np.maximum(n, 0.0), self.sx - part.sx,
-                               self.sxx - part.sxx, self.sxy - part.sxy)
+                               self.sxx - part.sxx, self.sxy - part.sxy,
+                               self.center)
 
     def correlations(self) -> tuple[np.ndarray, np.ndarray]:
         """Reconstruct ``(corr, n_complete)``.
@@ -197,20 +224,56 @@ class PairwiseMoments:
         Entries with fewer than 2 complete pairs or zero variance are
         NaN; the diagonal is forced to 1 where defined.
         """
-        n, sx, sxx, sxy = self.n, self.sx, self.sxx, self.sxy
-        sy, syy = sx.T, sxx.T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cov = n * sxy - sx * sy
-            var_x = n * sxx - sx * sx
-            var_y = n * syy - sy * sy
-            denom = np.sqrt(np.maximum(var_x, 0.0) * np.maximum(var_y, 0.0))
-            corr = cov / denom
-        corr[(denom <= 0.0) | (n < 2)] = np.nan
-        np.clip(corr, -1.0, 1.0, out=corr)
-        diag_ok = np.diag(n) >= 2
+        corr = _pair_correlations(self.n, self.sx, self.sx.T, self.sxx,
+                                  self.sxx.T, self.sxy)
+        diag_ok = np.diag(self.n) >= 2
         for i in np.flatnonzero(diag_ok):
             corr[i, i] = 1.0
         return corr, self.n.copy()
+
+
+class PairMoments:
+    """Pair moments of chosen column pairs, one array entry per pair.
+
+    The per-pair form of :class:`PairwiseMoments`
+    (:meth:`PairwiseMoments.pairs`): for pair ``k`` of columns ``a`` and
+    ``b``, the complete-row count, the sums of ``a`` and of ``b``, their
+    sums of squares and the cross-product, all over the rows where both
+    are present.  Additive over disjoint row sets like the matrix form,
+    and the same elementwise formula gives each pair's coefficient, so
+    a pair's correlation is the matrix form's entry for it.
+    """
+
+    __slots__ = ("n", "sx", "sy", "sxx", "syy", "sxy")
+
+    def __init__(self, n: np.ndarray, sx: np.ndarray, sy: np.ndarray,
+                 sxx: np.ndarray, syy: np.ndarray, sxy: np.ndarray):
+        self.n = n
+        self.sx = sx
+        self.sy = sy
+        self.sxx = sxx
+        self.syy = syy
+        self.sxy = sxy
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the six moment arrays."""
+        return 6 * self.n.nbytes
+
+    def subtract(self, part: "PairMoments") -> "PairMoments":
+        """Moments of this row set minus a subset of its rows."""
+        n = self.n - part.n
+        if (n < -1e-9).any():
+            raise ValueError("cannot subtract moments of a larger row set")
+        return PairMoments(np.maximum(n, 0.0), self.sx - part.sx,
+                           self.sy - part.sy, self.sxx - part.sxx,
+                           self.syy - part.syy, self.sxy - part.sxy)
+
+    def correlations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(corr, n_complete)`` per pair; NaN where a pair has fewer
+        than 2 complete rows or a zero variance."""
+        return (_pair_correlations(self.n, self.sx, self.sy, self.sxx,
+                                   self.syy, self.sxy), self.n.copy())
 
 
 def masked_correlation_matrix(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,13 +18,25 @@ from repro.core.stats_cache import StatsCache
 from repro.data.registry import load_dataset
 from repro.engine.database import selection_from_mask
 from repro.engine.table import Table
-from repro.stats.correlation import PairwiseMoments
+from repro.stats.correlation import PairwiseMoments, pearson
 
 METHODS = ("pearson", "spearman", "nmi")
 
 #: Predicates on four different columns: each query drops a different
 #: predicate column from its active set.
 PREDICATES = ("x > 0.3", "gappy < 0", "w >= 3", "holes > 1")
+
+
+def tight_pairs(table, columns):
+    """The pairs of ``columns`` whose dependency reaches the default
+    ``min_tightness``: the pairs a query's preparation asks moments for."""
+    config = ZiggyConfig()
+    matrix = compute_dependency_matrix(
+        table, columns, method=config.dependency_method,
+        mi_bins=config.mi_bins).matrix
+    ia, ib = np.nonzero(np.triu(np.nan_to_num(matrix, nan=-1.0)
+                                >= config.min_tightness, k=1))
+    return [(columns[i], columns[j]) for i, j in zip(ia, ib)]
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +132,32 @@ class TestSharedAcrossQueries:
                                                   abs=0)
 
 
+class TestShiftedMoments:
+    def test_a_large_mean_does_not_cost_digits(self):
+        # A column whose mean (1e6) dwarfs its spread (sd ~10): unshifted
+        # moments lost ~5 digits of its correlation in ``n*sxx - sx*sx``.
+        rng = np.random.default_rng(24)
+        n = 3000
+        x = rng.normal(size=n)
+        big = 1e6 + 10.0 * (0.7 * x + np.sqrt(0.51) * rng.normal(size=n))
+        z = rng.normal(size=n)
+        table = Table.from_dict({"x": x, "big": big, "z": z}, name="shift")
+        selection = selection_from_mask(table, z > 0.3, label="z>0.3")
+        columns = ("x", "big", "z")
+        mask = selection.mask
+        want_in = pearson(x[mask], big[mask])
+        want_out = pearson(x[~mask], big[~mask])
+        assert 0.6 < want_in < 0.8
+        corr_in, _, corr_out, _ = StatsCache().group_correlations(
+            selection, columns, [("x", "big")])
+        assert abs(corr_in[0] - want_in) <= 1e-12
+        assert abs(corr_out[0] - want_out) <= 1e-12
+        corr_in, _, corr_out, _ = StatsCache().group_correlations(
+            selection, columns)
+        assert abs(corr_in[0, 1] - want_in) <= 1e-12
+        assert abs(corr_out[1, 0] - want_out) <= 1e-12
+
+
 class TestConfigurationBoundsTheColumns:
     @pytest.fixture(scope="class")
     def keyed_table(self):
@@ -182,20 +220,27 @@ class TestByteBudget:
     def test_many_predicates_stay_under_budget(self, crime):
         cache = StatsCache()
         numeric = crime.numeric_column_names()
+        pairs = tight_pairs(crime, numeric)
         values = crime.column(numeric[0]).numeric_values()
         order = np.argsort(values, kind="stable")
         rng = np.random.default_rng(5)
+        first_eviction = None
         for i in range(500):
             start = int(rng.integers(0, crime.n_rows // 2))
             mask = np.zeros(crime.n_rows, dtype=bool)
             mask[order[start:start + crime.n_rows // 3]] = True
             selection = selection_from_mask(crime, mask, label=f"p{i}")
-            cache.inside_moments(selection, numeric)
+            cache.inside_moments(selection, numeric, pairs)
             for column in numeric:
                 cache.inside_column_stats(selection, column)
             if i + 1 == HISTORY_LIMIT:
                 # A session's whole history fits before anything goes.
                 assert cache.counters.inside_evictions == 0
+            if first_eviction is None and cache.counters.inside_evictions:
+                first_eviction = i + 1
+        # More predicates than the 73 a store of every pair's moments
+        # held under 40 MiB.
+        assert first_eviction > 73
         budget = stats_cache.INSIDE_BUDGET_BYTES
         held = (sum(m.nbytes for m in cache._inside_moments.values())
                 + len(cache._inside_stats) * stats_cache._SUMMARY_NBYTES)
@@ -203,6 +248,26 @@ class TestByteBudget:
         assert cache.counters.inside_evictions > 0
         # The blob of a saturated cache is bounded by the budget too.
         assert len(pickle.dumps(cache)) < 2 * budget
+
+    def test_a_predicate_entry_holds_its_tight_pairs(self, crime):
+        cache = StatsCache()
+        engine = Ziggy(crime, cache=cache)
+        engine.characterize("violent_crime_rate > 0.25")
+        prepared = engine.last_prepared
+        numeric = tuple(c for c in prepared.active_columns
+                        if not prepared.column_slices[c].is_categorical)
+        pairs = tight_pairs(crime, numeric)
+        assert pairs and len(pairs) < len(numeric) * (len(numeric) - 1) // 2
+        assert sorted(prepared.pair_slices) == sorted(
+            (a, b) if a <= b else (b, a) for a, b in pairs)
+        (entry,) = cache._inside_moments.values()
+        assert entry.n.shape == (len(pairs),)
+        for k, (a, b) in enumerate(pairs):
+            key = (a, b) if a <= b else (b, a)
+            assert entry.n[k] == prepared.pair_slices[key].n_inside
+        assert entry.nbytes == 6 * 8 * len(pairs)
+        # Everything one predicate leaves in the per-predicate stores.
+        assert cache._inside_bytes <= 96 * 1024
 
     def test_entry_larger_than_budget_is_not_kept(self, mixed_table,
                                                   monkeypatch):

@@ -228,11 +228,47 @@ class TestUpgrade:
         finally:
             service.shutdown()  # the drain-time pass rewrites the blob
         with open(store._path(fingerprint), "rb") as fh:
-            assert fh.read().startswith(b"ZIGSNAP3\n")
+            assert fh.read().startswith(snapshots.MAGIC)
         sketch = SnapshotStore(store.root).load(fingerprint).sketch_for(
             fingerprint)
         assert sketch.samples.shape == (sketch.sample_size,
                                         len(sketch.columns))
+
+    def test_blob_of_every_pair_per_predicate_is_dropped_and_rewritten(
+            self, tmp_path, boxoffice_small, monkeypatch):
+        # A ZIGSNAP3 blob: unshifted whole-table moments, and inside
+        # moments over every pair of the pool for each predicate.
+        state_dir = str(tmp_path / "state")
+        store = SnapshotStore(os.path.join(state_dir, "snapshots"))
+        table = boxoffice_small
+        fingerprint = table.fingerprint()
+        cache = warmed_cache(table)
+        cache.ensure_sketch(table)
+        service = ZiggyService(executor="inline", runtime=ZiggyRuntime())
+        try:
+            service.register_table(table)
+            service.characterize(CharacterizeRequest(
+                where="gross > 200000000", table=table.name))
+            cache.merge_from(service.runtime.stats_for(table))
+        finally:
+            service.shutdown()
+        with monkeypatch.context() as patched:
+            patched.setattr(snapshots, "MAGIC", b"ZIGSNAP3\n")
+            assert store.save(fingerprint, cache)
+        service = ZiggyService(executor="inline", state_dir=state_dir,
+                               snapshot_interval=0, runtime=ZiggyRuntime())
+        try:
+            service.register_table(table)
+            assert service.state.snapshots.counters.corrupt == 1
+            response = service.characterize(CharacterizeRequest(
+                where="gross > 200000000", table=table.name))
+            assert response.n_views > 0
+        finally:
+            service.shutdown()  # the drain-time pass rewrites the blob
+        with open(store._path(fingerprint), "rb") as fh:
+            assert fh.read().startswith(b"ZIGSNAP4\n")
+        rewritten = SnapshotStore(store.root).load(fingerprint)
+        assert rewritten._inside_moments
 
 
 class TestStartupHygiene:
